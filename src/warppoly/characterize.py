@@ -88,20 +88,21 @@ def recognize(poly: WarpPoly) -> CharForm | Rejection:
         return Rejection(REJECT_GAP, "missing interior degree")
     k = poly.ldeg()
     l = poly.span()
+    coeff = poly.as_dict()
     if l == 0:
-        if k == 0 and poly.coeff(0) == 1:
+        if k == 0 and coeff[0] == 1:
             return CharForm(0, ())
         return Rejection(REJECT_NON_UNIT_SPAN_ZERO, f"span-0 polynomial is {poly}")
-    m = [poly.coeff(k)]
+    m = [coeff[k]]
     for j in range(1, l):
-        nxt = poly.coeff(k + j) - m[-1]
+        nxt = coeff[k + j] - m[-1]
         if nxt < 1:
             return Rejection(REJECT_BAD_ENDS, f"m_{j} would be {nxt}")
         m.append(nxt)
-    if poly.coeff(k + l) != m[-1]:
+    if coeff[k + l] != m[-1]:
         return Rejection(
             REJECT_BAD_ENDS,
-            f"top coefficient {poly.coeff(k + l)} != m_{l - 1} = {m[-1]}",
+            f"top coefficient {coeff[k + l]} != m_{l - 1} = {m[-1]}",
         )
     if sum(m) < k + l:
         return Rejection(REJECT_SUM_TOO_SMALL, f"sum {sum(m)} < {k + l}")
@@ -114,7 +115,7 @@ def one_bridge_diagram(l: int) -> GaussDiagram:
         raise ValueError("one-bridge diagram needs l >= 1")
     overs = tuple(Pass(i, OVER) for i in range(1, l + 1))
     unders = tuple(Pass(i, UNDER) for i in range(1, l + 1))
-    return GaussDiagram(overs + unders)
+    return GaussDiagram._trusted(overs + unders)
 
 
 def one_bridge_polynomial(l: int) -> WarpPoly:

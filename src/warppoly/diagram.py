@@ -80,6 +80,14 @@ class GaussDiagram:
         object.__setattr__(self, "passes", tuple(self.passes))
         _check_passes(self.passes)
 
+    @classmethod
+    def _trusted(cls, passes: tuple[Pass, ...]) -> "GaussDiagram":
+        # for internal builders whose output is a valid code by construction;
+        # skips __post_init__, so outside input must never come through here
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "passes", passes)
+        return diagram
+
     @property
     def crossing_count(self) -> int:
         return len(self.passes) // 2
@@ -141,17 +149,17 @@ class GaussDiagram:
 
     def mirror(self) -> "GaussDiagram":
         """Swap over/under at every crossing and negate signs."""
-        return GaussDiagram(tuple(p.flipped() for p in self.passes))
+        return GaussDiagram._trusted(tuple(p.flipped() for p in self.passes))
 
     def reverse(self) -> "GaussDiagram":
         """Reverse the orientation; markers and signs are unchanged."""
-        return GaussDiagram(tuple(reversed(self.passes)))
+        return GaussDiagram._trusted(tuple(reversed(self.passes)))
 
     def crossing_change(self, crossing: int) -> "GaussDiagram":
         """Swap the over/under strands (and sign) at one crossing."""
         if crossing not in {p.crossing for p in self.passes}:
             raise UnknownCrossingError(f"no crossing {crossing} in diagram")
-        return GaussDiagram(
+        return GaussDiagram._trusted(
             tuple(p.flipped() if p.crossing == crossing else p for p in self.passes)
         )
 

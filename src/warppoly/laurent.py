@@ -22,7 +22,7 @@ accepted on input; see :mod:`warppoly.notation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     DegreeBoundError,
@@ -34,7 +34,7 @@ from .errors import (
 
 def _normalize(terms) -> tuple[tuple[int, int], ...]:
     acc: dict[int, int] = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
+    items = terms.items() if isinstance(terms, dict) else terms
     for degree, coeff in items:
         if degree < 0:
             raise NegativeDegreeError(f"degree {degree} < 0")
@@ -53,6 +53,14 @@ class WarpPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _normalize(self.terms))
+
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[int, int], ...]) -> "WarpPoly":
+        # for internal builders whose terms are already ascending, merged and
+        # positive; skips __post_init__, so outside input must never come here
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "WarpPoly":
@@ -107,13 +115,13 @@ class WarpPoly:
         acc = dict(self.terms)
         for d, c in other.terms:
             acc[d] = acc.get(d, 0) + c
-        return WarpPoly(tuple(acc.items()))
+        return WarpPoly._trusted(tuple(sorted(acc.items())))
 
     def shift(self, k: int) -> "WarpPoly":
         """Multiply by ``t^k`` (``k >= 0``)."""
         if k < 0:
             raise NegativeDegreeError("shift amount must be >= 0")
-        return WarpPoly(tuple((d + k, c) for d, c in self.terms))
+        return WarpPoly._trusted(tuple((d + k, c) for d, c in self.terms))
 
     def reflect(self, c: int) -> "WarpPoly":
         """Return ``t^c * p(1/t)``: the degree-``d`` term moves to ``c - d``.
@@ -127,7 +135,8 @@ class WarpPoly:
             raise DegreeBoundError(
                 f"cannot reflect at {c}: upper degree is {self.terms[-1][0]}"
             )
-        return WarpPoly(tuple((c - d, co) for d, co in self.terms))
+        # reversed, so the reflected degrees stay ascending
+        return WarpPoly._trusted(tuple((c - d, co) for d, co in reversed(self.terms)))
 
     def gap_free(self) -> bool:
         """True iff every degree between the bounds has a positive coefficient."""
@@ -153,8 +162,12 @@ class WarpPoly:
 
 
 def counts_to_poly(labels: Iterable[int]) -> WarpPoly:
-    """Sum ``t^label`` over a label sequence."""
+    """Sum ``t^label`` over a label sequence; labels must be non-negative."""
     acc: dict[int, int] = {}
     for lab in labels:
         acc[lab] = acc.get(lab, 0) + 1
-    return WarpPoly(tuple(acc.items()))
+    terms = tuple(sorted(acc.items()))
+    # every count is positive, so the lowest degree is all left to check
+    if terms and terms[0][0] < 0:
+        raise NegativeDegreeError(f"degree {terms[0][0]} < 0")
+    return WarpPoly._trusted(terms)

@@ -26,8 +26,8 @@ def _insert(diagram: GaussDiagram, edge: int, first: str) -> GaussDiagram:
     kink = (Pass(fresh, first), Pass(fresh, second))
     passes = diagram.passes
     if not passes:
-        return GaussDiagram(kink)
-    return GaussDiagram(passes[: edge + 1] + kink + passes[edge + 1 :])
+        return GaussDiagram._trusted(kink)
+    return GaussDiagram._trusted(passes[: edge + 1] + kink + passes[edge + 1 :])
 
 
 def insert_kink_over_first(diagram: GaussDiagram, edge: int) -> GaussDiagram:
@@ -69,7 +69,9 @@ def connected_sum(
             remap[p.crossing] = fresh
         segment.append(Pass(remap[p.crossing], p.strand, p.sign))
     passes = diagram.passes
-    return GaussDiagram(passes[: edge + 1] + tuple(segment) + passes[edge + 1 :])
+    return GaussDiagram._trusted(
+        passes[: edge + 1] + tuple(segment) + passes[edge + 1 :]
+    )
 
 
 def find_edge_with_label(diagram: GaussDiagram, label: int) -> int:

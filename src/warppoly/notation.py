@@ -78,7 +78,7 @@ def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
         if p.crossing not in renumber:
             renumber[p.crossing] = len(renumber) + 1
         out.append(Pass(renumber[p.crossing], p.strand, p.sign))
-    return GaussDiagram(tuple(out))
+    return GaussDiagram._trusted(tuple(out))
 
 
 def format_gauss(diagram: GaussDiagram, canonical: bool = False) -> str:
@@ -165,7 +165,7 @@ def braid_closure(word: BraidWord) -> GaussDiagram:
                 seen.add(s)
                 s = end_position[s]
         raise NotAKnotError(f"closure has {cycles} components, not 1")
-    return GaussDiagram(tuple(passes))
+    return GaussDiagram._trusted(tuple(passes))
 
 
 def parse_poly(text: str) -> WarpPoly:

@@ -16,7 +16,11 @@ labeling ``(0,)``, polynomial ``1``, degree 0, span 0, and is monotone.
 from __future__ import annotations
 
 from .diagram import OVER, GaussDiagram
-from .errors import InconsistentClosureError, ZeroCrossingsError
+from .errors import (
+    InconsistentClosureError,
+    NegativeDegreeError,
+    ZeroCrossingsError,
+)
 from .laurent import WarpPoly, counts_to_poly
 
 
@@ -112,18 +116,13 @@ def fg_decomposition(diagram: GaussDiagram, crossing: int) -> tuple[WarpPoly, Wa
         raise ZeroCrossingsError("decomposition needs at least one crossing")
     over_pos, under_pos = diagram.positions_of(crossing)
     labels = labeling(diagram)
-    n = len(diagram.passes)
-    f_terms: dict[int, int] = {}
-    g_terms: dict[int, int] = {}
-    j = over_pos
-    in_f = set()
-    while j != under_pos:
-        in_f.add(j)
-        j = (j + 1) % n
-    for j, lab in enumerate(labels):
-        bucket = f_terms if j in in_f else g_terms
-        bucket[lab] = bucket.get(lab, 0) + 1
-    return WarpPoly(tuple(f_terms.items())), WarpPoly(tuple(g_terms.items()))
+    if over_pos < under_pos:
+        f_labels = labels[over_pos:under_pos]
+        g_labels = labels[under_pos:] + labels[:over_pos]
+    else:
+        f_labels = labels[over_pos:] + labels[:under_pos]
+        g_labels = labels[under_pos:over_pos]
+    return counts_to_poly(f_labels), counts_to_poly(g_labels)
 
 
 def predict_crossing_change(diagram: GaussDiagram, crossing: int) -> WarpPoly:
@@ -135,5 +134,7 @@ def predict_crossing_change(diagram: GaussDiagram, crossing: int) -> WarpPoly:
     """
     f, g = fg_decomposition(diagram, crossing)
     # shift-down of f, guarded by its lower degree bound
-    f_down = WarpPoly(tuple((d - 1, c) for d, c in f.terms))
+    if f.ldeg() < 1:
+        raise NegativeDegreeError(f"degree {f.ldeg() - 1} < 0")
+    f_down = WarpPoly._trusted(tuple((d - 1, c) for d, c in f.terms))
     return g.shift(1) + f_down

@@ -2,10 +2,20 @@
 
 These deliberately re-derive results from first principles (per-edge
 scans, parity counting, closed-form counts) without touching the library
-internals they are checking against.
+internals they are checking against, or keep the predecessor of a
+replaced library algorithm as a differential reference.
 """
 
-from warppoly import GaussDiagram
+from warppoly import GaussDiagram, WarpPoly
+from warppoly.characterize import (
+    REJECT_BAD_ENDS,
+    REJECT_GAP,
+    REJECT_NON_UNIT_SPAN_ZERO,
+    REJECT_SUM_TOO_SMALL,
+    REJECT_ZERO,
+    CharForm,
+    Rejection,
+)
 
 
 def brute_degree(diagram: GaussDiagram, edge: int) -> int:
@@ -46,6 +56,27 @@ def code_count(c: int) -> int:
     return double_factorial(2 * c - 1) * 2**c
 
 
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def staircase_forms(max_sum: int) -> list[CharForm]:
+    """Every staircase form whose m_i sum to at most ``max_sum``: each
+    composition m of each total, with every k the sum constraint allows."""
+    forms = [CharForm(0, ())]
+    for total in range(1, max_sum + 1):
+        for l in range(1, total + 1):
+            for m in _compositions(total, l):
+                for k in range(0, total - l + 1):
+                    forms.append(CharForm(k, m))
+    return forms
+
+
 def phase_dealternating(diagram: GaussDiagram) -> int | None:
     """Dealternating number via the two-phase parity argument.
 
@@ -66,3 +97,32 @@ def phase_dealternating(diagram: GaussDiagram) -> int | None:
         if over_pos % 2 == 1:
             need_phase_a += 1
     return min(need_phase_a, len(positions) - need_phase_a)
+
+
+def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:
+    """Staircase recognition reading each coefficient by a linear ``coeff()``
+    scan: the O(l^2) predecessor of :func:`warppoly.recognize`."""
+    if poly.is_zero:
+        return Rejection(REJECT_ZERO)
+    if not poly.gap_free():
+        return Rejection(REJECT_GAP, "missing interior degree")
+    k = poly.ldeg()
+    l = poly.span()
+    if l == 0:
+        if k == 0 and poly.coeff(0) == 1:
+            return CharForm(0, ())
+        return Rejection(REJECT_NON_UNIT_SPAN_ZERO, f"span-0 polynomial is {poly}")
+    m = [poly.coeff(k)]
+    for j in range(1, l):
+        nxt = poly.coeff(k + j) - m[-1]
+        if nxt < 1:
+            return Rejection(REJECT_BAD_ENDS, f"m_{j} would be {nxt}")
+        m.append(nxt)
+    if poly.coeff(k + l) != m[-1]:
+        return Rejection(
+            REJECT_BAD_ENDS,
+            f"top coefficient {poly.coeff(k + l)} != m_{l - 1} = {m[-1]}",
+        )
+    if sum(m) < k + l:
+        return Rejection(REJECT_SUM_TOO_SMALL, f"sum {sum(m)} < {k + l}")
+    return CharForm(k, tuple(m))

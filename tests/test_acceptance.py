@@ -11,7 +11,6 @@ import pytest
 
 from warppoly import (
     BraidWord,
-    CharForm,
     GaussDiagram,
     WarpPoly,
     almost_alternating_scan,
@@ -32,6 +31,8 @@ from warppoly import (
     warping_polynomial,
     witness,
 )
+
+from _oracles import staircase_forms
 
 TREFOIL = parse_gauss("O1 U2 O3 U1 O2 U3")
 
@@ -132,25 +133,7 @@ def test_criterion_3_exhaustive_suite(full_suite_report):
 
 @criterion("criterion-4 characterization completeness")
 def test_criterion_4_completeness():
-    def compositions(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        if parts == 1:
-            if total >= 1:
-                yield (total,)
-            return
-        for head in range(1, total - parts + 2):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
-    forms = [CharForm(0, ())]
-    for total in range(1, 7):
-        for l in range(1, total + 1):
-            for m in compositions(total, l):
-                for k in range(0, total - l + 1):
-                    forms.append(CharForm(k, m))
+    forms = staircase_forms(6)
     assert len(forms) > 150
     for form in forms:
         diagram = witness(form)

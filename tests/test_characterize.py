@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -22,6 +24,7 @@ from warppoly.characterize import (
     REJECT_ZERO,
 )
 
+from _oracles import scan_recognize, staircase_forms
 from _strategies import char_forms, diagrams
 
 
@@ -161,3 +164,28 @@ def test_accepted_polynomials_pass_necessary_conditions(d):
     assert poly.gap_free()
     if d.crossing_count >= 1:
         assert poly(-1) == 0
+
+
+def _same_answer(a, b) -> bool:
+    # Rejection equality ignores the detail text, which must match too
+    if isinstance(a, Rejection):
+        return isinstance(b, Rejection) and (a.reason, a.detail) == (b.reason, b.detail)
+    return a == b
+
+
+def test_recognize_matches_scan_oracle_on_gap_free_polynomials():
+    polys = [WarpPoly.zero(), WarpPoly(((0, 1), (2, 1))), WarpPoly(((1, 2), (4, 2)))]
+    for start in range(4):
+        for span in range(5):
+            for coeffs in product((1, 2, 3), repeat=span + 1):
+                polys.append(WarpPoly(tuple(zip(range(start, start + span + 1), coeffs))))
+    assert len(polys) == 3 + 4 * (3 + 9 + 27 + 81 + 243)
+    for poly in polys:
+        assert _same_answer(recognize(poly), scan_recognize(poly)), poly
+
+
+def test_recognize_matches_scan_oracle_on_staircase_forms():
+    for form in staircase_forms(8):
+        poly = encode_form(form)
+        assert recognize(poly) == form
+        assert _same_answer(recognize(poly), scan_recognize(poly)), poly

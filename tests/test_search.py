@@ -13,7 +13,7 @@ from warppoly import (
     span_witness,
     warping_polynomial,
 )
-from warppoly import warping
+from warppoly import moves, warping
 from warppoly.errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -177,3 +177,49 @@ def test_suite_exercises_nonrealizable_codes():
     report = run_property_suite(2)
     assert report.ok
     assert report.checks()["dealternating-reachable-iff-evenness"] == 14
+
+
+def test_property_suite_records_non_package_errors(monkeypatch):
+    # any exception from a library call is a violation, not a traceback
+    target = next(enumerate_diagrams(2))
+    real = warping.fg_decomposition
+
+    def broken(diagram, crossing):
+        if diagram == target:
+            raise KeyError("broken fg")
+        return real(diagram, crossing)
+
+    monkeypatch.setattr(warping, "fg_decomposition", broken)
+    report = run_property_suite(2, pair_max_crossings=1)
+    assert not report.ok
+    assert report.diagrams_checked == 1 + 2 + 12
+    assert [v.as_dict() for v in report.violations] == [
+        {
+            "property": "no-unexpected-errors",
+            "code": str(target),
+            "detail": "KeyError('broken fg')",
+        }
+    ]
+
+
+def test_connected_sum_sweep_records_non_package_errors(monkeypatch):
+    real = moves.connected_sum
+
+    def broken(left, edge, right, other_edge):
+        if str(left) == "U1 O1" and (edge, other_edge) == (1, 0):
+            raise IndexError("broken splice")
+        return real(left, edge, right, other_edge)
+
+    monkeypatch.setattr(moves, "connected_sum", broken)
+    report = run_property_suite(2, pair_max_crossings=1)
+    assert not report.ok
+    assert report.diagrams_checked == 1 + 2 + 12
+    # two right summands hit the broken edge pair; the other 14 splices run
+    assert [v.as_dict() for v in report.violations] == [
+        {
+            "property": "no-unexpected-errors",
+            "code": "U1 O1",
+            "detail": "IndexError('broken splice')",
+        }
+    ] * 2
+    assert report.checks()["connected-sum-identity"] == 14
