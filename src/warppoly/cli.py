@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diagram_command("onebridge", "whether the code is a rotation of O^c U^c")
     diagram_command("mirror", "swap over/under everywhere")
     diagram_command("reverse", "reverse the orientation")
-    diagram_command("dalt", "dealternating number by subset search")
+    diagram_command("dalt", "dealternating number by position parity")
 
     p = diagram_command("cc", "change one crossing")
     p.add_argument("--crossing", type=int, required=True)

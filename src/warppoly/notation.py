@@ -46,22 +46,67 @@ def parse_gauss(text: str) -> GaussDiagram:
     return GaussDiagram(tuple(passes))
 
 
-def _rotation_key(passes, start):
+_SIGN_RANK = {None: 0, "+": 1, "-": 2}
+
+
+def _least_rotation(passes) -> int:
+    """Start of the least rotation under the first-appearance renumbering key.
+
+    The key of the rotation starting at ``s`` lists ``(strand, id, sign)``
+    with ids renumbered by first appearance.  Where two rotations agree on
+    a prefix they also agree on its ids, so at offset ``k`` the id can be
+    read as ``-back`` when the crossing's other pass lies ``back <= k``
+    steps behind (an older id is smaller and sits further back) and as
+    ``0`` when it is new (larger than every older id).  Rotations are then
+    compared by a two-pointer scan (Booth, IPL 1980; the minimum-expression
+    scan): when rotation ``i`` loses to ``j`` at offset ``k``, rotation
+    ``i + t`` loses to ``j + t`` for every ``t <= skip``, where ``skip`` is
+    ``k`` if the strand or the sign decides, and ``k - D`` if the id does,
+    ``D`` being the larger back distance ``<= k`` at the mismatch (a wider
+    shift can turn that back-reference into a new id and reverse the
+    order).  If ``k`` reaches ``n`` the two rotations are equal, so the
+    code is invariant under that shift up to renumbering, and the smaller
+    pointer is the first least rotation.
+
+    Each mismatch moves a pointer forward, so the scan makes at most
+    ``O(n^2)`` comparisons; when the strand or the sign decides every
+    mismatch it makes at most ``3n``, as in the classical scan.
+    """
     n = len(passes)
-    renumber: dict[int, int] = {}
-    key = []
-    for k in range(n):
-        p = passes[(start + k) % n]
-        if p.crossing not in renumber:
-            renumber[p.crossing] = len(renumber) + 1
-        key.append(
-            (
-                0 if p.strand == OVER else 1,
-                renumber[p.crossing],
-                {None: 0, "+": 1, "-": 2}[p.sign],
-            )
-        )
-    return key
+    back = [0] * n  # cyclic distance from each pass back to its partner
+    first: dict[int, int] = {}
+    for q, p in enumerate(passes):
+        a = first.setdefault(p.crossing, q)
+        if a != q:
+            back[q] = q - a
+            back[a] = n - q + a
+    under = [p.strand != OVER for p in passes] * 2
+    sign = [_SIGN_RANK[p.sign] for p in passes] * 2
+    back *= 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = i + k, j + k
+        if under[a] != under[b]:
+            i_loses, skip = under[a], k
+        else:
+            ba = back[a] if back[a] <= k else 0  # 0: a new id
+            bb = back[b] if back[b] <= k else 0
+            if ba != bb:
+                i_loses = ba == 0 or (bb != 0 and ba < bb)
+                skip = k - max(ba, bb)
+            elif sign[a] != sign[b]:
+                i_loses, skip = sign[a] > sign[b], k
+            else:
+                k += 1
+                continue
+        if i_loses:
+            i += skip + 1
+        else:
+            j += skip + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
@@ -70,7 +115,7 @@ def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
     n = len(passes)
     if n == 0:
         return diagram
-    best = min(range(n), key=lambda s: _rotation_key(passes, s))
+    best = _least_rotation(passes)
     renumber: dict[int, int] = {}
     out = []
     for k in range(n):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from . import characterize, moves, warping
@@ -33,7 +33,6 @@ from .errors import (
 )
 
 ENUMERATION_BOUND = 6
-DEALTERNATING_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -114,35 +113,32 @@ def enumerate_diagrams(c: int, bound: int = ENUMERATION_BOUND) -> Iterator[Gauss
             yield GaussDiagram(tuple(passes))
 
 
-def dealternating_number(diagram: GaussDiagram, cap: int = DEALTERNATING_CAP) -> int:
+def dealternating_number(diagram: GaussDiagram) -> int:
     """Minimal number of crossing changes yielding an alternating diagram.
 
-    Plain subset search, breadth-first by subset size.  Raises
-    :class:`NotAlternatableError` when no subset works (exactly the codes
-    failing ``evenness_lint``).
+    An alternating diagram puts its over passes on the even positions or
+    on the odd ones, and a crossing change flips both passes of one
+    crossing.  So a target is reachable iff every crossing's two passes
+    lie an odd distance apart (exactly the codes passing
+    ``evenness_lint``); then the crossings to change are fixed by the
+    phase, and the answer is ``min(o, c - o)`` with ``o`` the number of
+    over passes at odd positions.  Raises :class:`NotAlternatableError`
+    otherwise.  O(c).
     """
     c = diagram.crossing_count
     if c == 0:
         raise ZeroCrossingsError("dealternating number needs a crossing")
-    if c > cap:
-        raise BoundExceededError(f"subset search over {c} crossings exceeds cap {cap}")
-    markers = [p.strand == OVER for p in diagram.passes]
-    positions: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    odd_overs = 0
     for i, p in enumerate(diagram.passes):
-        positions.setdefault(p.crossing, []).append(i)
-    ids = sorted(positions)
-    n = len(markers)
-    for size in range(c + 1):
-        for subset in combinations(ids, size):
-            flipped = markers[:]
-            for x in subset:
-                for i in positions[x]:
-                    flipped[i] = not flipped[i]
-            if all(flipped[i] != flipped[i - 1] for i in range(n)):
-                return size
-    raise NotAlternatableError(
-        "no crossing-change subset is alternating (code fails evenness)"
-    )
+        a = first.setdefault(p.crossing, i)
+        if a != i and (i - a) % 2 == 0:
+            raise NotAlternatableError(
+                "no crossing-change subset is alternating (code fails evenness)"
+            )
+        if i % 2 and p.strand == OVER:
+            odd_overs += 1
+    return min(odd_overs, c - odd_overs)
 
 
 def _spiral_one_bridge(l: int) -> GaussDiagram:

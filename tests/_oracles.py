@@ -6,7 +6,9 @@ internals they are checking against, or keep the predecessor of a
 replaced library algorithm as a differential reference.
 """
 
-from warppoly import GaussDiagram, WarpPoly
+from itertools import combinations
+
+from warppoly import GaussDiagram, Pass, WarpPoly
 from warppoly.characterize import (
     REJECT_BAD_ENDS,
     REJECT_GAP,
@@ -97,6 +99,64 @@ def phase_dealternating(diagram: GaussDiagram) -> int | None:
         if over_pos % 2 == 1:
             need_phase_a += 1
     return min(need_phase_a, len(positions) - need_phase_a)
+
+
+def subset_dealternating(diagram: GaussDiagram) -> int | None:
+    """Dealternating number by breadth-first search over crossing subsets:
+    the exponential predecessor of :func:`warppoly.dealternating_number`.
+    Returns None when no subset makes the code alternating."""
+    markers = [p.strand == "O" for p in diagram.passes]
+    positions: dict[int, list[int]] = {}
+    for i, p in enumerate(diagram.passes):
+        positions.setdefault(p.crossing, []).append(i)
+    ids = sorted(positions)
+    n = len(markers)
+    for size in range(len(ids) + 1):
+        for subset in combinations(ids, size):
+            flipped = markers[:]
+            for x in subset:
+                for i in positions[x]:
+                    flipped[i] = not flipped[i]
+            if all(flipped[i] != flipped[i - 1] for i in range(n)):
+                return size
+    return None
+
+
+def _rotation_key(passes, start):
+    n = len(passes)
+    renumber: dict[int, int] = {}
+    key = []
+    for k in range(n):
+        p = passes[(start + k) % n]
+        if p.crossing not in renumber:
+            renumber[p.crossing] = len(renumber) + 1
+        key.append(
+            (
+                0 if p.strand == "O" else 1,
+                renumber[p.crossing],
+                {None: 0, "+": 1, "-": 2}[p.sign],
+            )
+        )
+    return key
+
+
+def rotation_canonicalize(diagram: GaussDiagram) -> GaussDiagram:
+    """Canonical form by building the renumbered key of every rotation and
+    taking the first least one: the O(n^2) predecessor of
+    :func:`warppoly.canonicalize`."""
+    passes = diagram.passes
+    n = len(passes)
+    if n == 0:
+        return diagram
+    best = min(range(n), key=lambda s: _rotation_key(passes, s))
+    renumber: dict[int, int] = {}
+    out = []
+    for k in range(n):
+        p = passes[(best + k) % n]
+        if p.crossing not in renumber:
+            renumber[p.crossing] = len(renumber) + 1
+        out.append(Pass(renumber[p.crossing], p.strand, p.sign))
+    return GaussDiagram(tuple(out))
 
 
 def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:

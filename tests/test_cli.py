@@ -186,3 +186,10 @@ def test_not_a_knot_braid(capsys):
     code, _, err = run(capsys, "span", "--braid", "1 1", "--strands", "2")
     assert code == 1
     assert "components" in err
+
+
+def test_dalt_on_large_braid_closure(capsys):
+    # 2,000 crossings: the position-parity rule has no crossing cap
+    code, out, err = run(capsys, "dalt", "--braid", " ".join(["1 2"] * 1000), "--strands", "3")
+    assert (code, err) == (0, "")
+    assert out == "1000\n"

@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 
 from warppoly import (
     BraidWord,
     GaussDiagram,
+    Pass,
     braid_closure,
     canonicalize,
     diagram_span,
@@ -21,6 +25,7 @@ from warppoly.errors import (
     ParseError,
 )
 
+from _oracles import rotation_canonicalize
 from _strategies import diagrams
 
 
@@ -63,6 +68,117 @@ def test_canonical_is_rotation_invariant():
     for r in range(n):
         rotated = GaussDiagram(d.passes[r:] + d.passes[:r])
         assert canonicalize(rotated) == canon
+
+
+def _signed(diagram, rng):
+    """The diagram with a seeded sign pattern: unsigned, all one sign, or mixed."""
+    ids = diagram.crossing_ids()
+    mode = rng.randrange(4)
+    if mode == 3:
+        signs = {x: rng.choice("+-") for x in ids}
+    else:
+        signs = dict.fromkeys(ids, (None, "+", "-")[mode])
+    return GaussDiagram(tuple(p._replace(sign=signs[p.crossing]) for p in diagram.passes))
+
+
+def _rotated_renumbered(diagram, rng):
+    passes = diagram.passes
+    r = rng.randrange(len(passes))
+    ids = list(diagram.crossing_ids())
+    rng.shuffle(ids)
+    remap = dict(zip(diagram.crossing_ids(), ids))
+    return GaussDiagram(
+        tuple(p._replace(crossing=remap[p.crossing]) for p in passes[r:] + passes[:r])
+    )
+
+
+def _knot_word(rng, strands, length, positive):
+    """Random letters, then letters merging cycles of the strand permutation
+    until the closure is a knot."""
+    word = [rng.randint(1, strands - 1) for _ in range(length)]
+    if not positive:
+        word = [w if rng.random() < 0.5 else -w for w in word]
+    perm = list(range(strands))
+    for w in word:
+        perm[abs(w) - 1], perm[abs(w)] = perm[abs(w)], perm[abs(w) - 1]
+    while True:
+        cycle = [0] * strands
+        for start in range(strands):
+            if not cycle[start]:
+                x = start
+                while not cycle[x]:
+                    cycle[x] = start + 1
+                    x = perm[x]
+        if len(set(cycle)) == 1:
+            return BraidWord(strands, tuple(word))
+        a = next(i for i in range(strands - 1) if cycle[i] != cycle[i + 1])
+        word.append(a + 1)
+        perm[a], perm[a + 1] = perm[a + 1], perm[a]
+
+
+def _one_bridge(rng, c):
+    unders = list(range(1, c + 1))
+    rng.shuffle(unders)
+    passes = [Pass(i, "O") for i in range(1, c + 1)] + [Pass(i, "U") for i in unders]
+    return GaussDiagram(tuple(passes))
+
+
+def _spiral(c):
+    passes = [Pass(i, "O") for i in range(1, c + 1)]
+    return GaussDiagram(tuple(passes + [Pass(i, "U") for i in range(c, 0, -1)]))
+
+
+def test_canonical_matches_rotation_oracle_exhaustive():
+    rng = random.Random(20261018)
+    for c in range(0, 6):
+        for d in enumerate_diagrams(c):
+            d = _signed(d, rng)
+            assert canonicalize(d) == rotation_canonicalize(d)
+
+
+def test_canonical_matches_rotation_oracle_random_families():
+    rng = random.Random(11)
+    for size in (3, 8, 20, 50, 120):
+        for _ in range(4):
+            for d in (
+                braid_closure(_knot_word(rng, 3, size, True)),
+                braid_closure(_knot_word(rng, rng.randint(3, 12), size, False)),
+                _one_bridge(rng, size),
+            ):
+                moved = _rotated_renumbered(d, rng)
+                assert canonicalize(moved) == rotation_canonicalize(moved)
+                assert canonicalize(moved) == canonicalize(d)
+
+
+def test_canonical_matches_rotation_oracle_structured_families():
+    # periodic and nested codes hold long runs of equal keys
+    rng = random.Random(3)
+    for c in (1, 2, 5, 13, 40, 101, 200):
+        family = [_one_bridge(rng, c), _spiral(c), _signed(_spiral(c), rng)]
+        family.append(braid_closure(BraidWord(2, (1,) * (c | 1))))
+        for letters in ((1, 2), (1, -2), (1, 2, 3)):
+            k = max(1, c // len(letters))
+            while math.gcd(k, len(letters) + 1) != 1:  # keep the closure a knot
+                k += 1
+            family.append(braid_closure(BraidWord(len(letters) + 1, letters * k)))
+        for d in family:
+            moved = _rotated_renumbered(d, rng)
+            assert canonicalize(d) == rotation_canonicalize(d)
+            assert canonicalize(moved) == rotation_canonicalize(moved)
+
+
+def test_canonical_invariance_on_large_codes():
+    # the rotation-key argmin would build 8,000 keys of 8,000 elements for each
+    rng = random.Random(4000)
+    for d in (
+        braid_closure(BraidWord(3, (1, 2) * 2000)),
+        _one_bridge(rng, 4000),
+    ):
+        assert d.crossing_count == 4000
+        canon = canonicalize(d)
+        assert canon.crossing_ids() == tuple(range(1, 4001))
+        for _ in range(3):
+            assert canonicalize(_rotated_renumbered(d, rng)) == canon
 
 
 def test_braid_word_validation():

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from warppoly import (
+    BraidWord,
     GaussDiagram,
     almost_alternating_scan,
+    braid_closure,
     dealternating_number,
     diagram_span,
     enumerate_diagrams,
@@ -21,7 +23,7 @@ from warppoly.errors import (
     ZeroCrossingsError,
 )
 
-from _oracles import code_count, phase_dealternating
+from _oracles import code_count, phase_dealternating, subset_dealternating
 
 
 def test_enumeration_counts():
@@ -59,9 +61,13 @@ def test_dealternating_examples():
         dealternating_number(parse_gauss("O1 O2 U1 U2"))
 
 
-def test_dealternating_cap():
-    with pytest.raises(BoundExceededError):
-        dealternating_number(parse_gauss("O1 U2 O3 U1 O2 U3"), cap=2)
+def test_dealternating_large_braid_closure():
+    # no crossing cap: thousands of crossings answer at once
+    for letters in ((1, 2) * 1000, (1, 2, 2, -1, 1, 2) * 400):
+        d = braid_closure(BraidWord(3, letters))
+        assert d.crossing_count >= 2000
+        assert dealternating_number(d) == phase_dealternating(d)
+    assert dealternating_number(braid_closure(BraidWord(3, (1, -2) * 1000))) == 0
 
 
 def test_dealternating_matches_parity_oracle():
@@ -71,6 +77,20 @@ def test_dealternating_matches_parity_oracle():
             if expected is None:
                 with pytest.raises(NotAlternatableError):
                     dealternating_number(d)
+            else:
+                assert dealternating_number(d) == expected
+
+
+def test_dealternating_matches_subset_search_oracle():
+    for c in range(1, 6):
+        for d in enumerate_diagrams(c):
+            expected = subset_dealternating(d)
+            if expected is None:
+                with pytest.raises(NotAlternatableError) as err:
+                    dealternating_number(d)
+                assert str(err.value) == (
+                    "no crossing-change subset is alternating (code fails evenness)"
+                )
             else:
                 assert dealternating_number(d) == expected
 
