@@ -119,15 +119,13 @@ def one_bridge_diagram(l: int) -> GaussDiagram:
 
 
 def one_bridge_polynomial(l: int) -> WarpPoly:
-    """``1 + 2t + ... + 2t^{l-1} + t^l``; the constant 1 for ``l = 0``."""
+    """``1 + 2t + ... + 2t^{l-1} + t^l``; the constant 1 for ``l = 0``.
+
+    The staircase form with ``k = 0`` and every ``m_i = 1``.
+    """
     if l < 0:
         raise ValueError("l must be >= 0")
-    if l == 0:
-        return WarpPoly.one()
-    terms = {0: 1, l: 1}
-    for d in range(1, l):
-        terms[d] = 2
-    return WarpPoly(tuple(terms.items()))
+    return encode_form(CharForm(0, (1,) * l))
 
 
 def witness(form: CharForm) -> GaussDiagram:

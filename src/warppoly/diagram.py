@@ -166,10 +166,10 @@ class GaussDiagram:
     def evenness_lint(self) -> bool:
         """Parity condition necessary for the code to be drawable on S^2.
 
-        True iff every crossing's two occurrences are separated by an even
-        number of passes.  Advisory: no operation in this package requires
-        it, but :func:`warppoly.search.dealternating_number` is finite
-        exactly when it holds.
+        True iff every crossing's two passes lie an odd distance apart.
+        Advisory: no operation in this package requires it, but
+        :func:`warppoly.search.dealternating_number` is finite exactly when
+        it holds.
         """
         first: dict[int, int] = {}
         for i, p in enumerate(self.passes):
@@ -187,6 +187,22 @@ class GaussDiagram:
 
     def __repr__(self) -> str:
         return f"GaussDiagram({str(self)!r})"
+
+
+def _renumbered(passes: tuple[Pass, ...], start: int, last_id: int) -> tuple[Pass, ...]:
+    # the rotation of passes starting at start, crossing ids renumbered
+    # last_id + 1, last_id + 2, ... by first appearance
+    n = len(passes)
+    fresh = last_id
+    remap: dict[int, int] = {}
+    out = []
+    for k in range(n):
+        p = passes[(start + k) % n]
+        if p.crossing not in remap:
+            fresh += 1
+            remap[p.crossing] = fresh
+        out.append(Pass(remap[p.crossing], p.strand, p.sign))
+    return tuple(out)
 
 
 def validate(raw: Iterable[Pass]) -> GaussDiagram:

@@ -14,7 +14,7 @@ output codes are deterministic.
 
 from __future__ import annotations
 
-from .diagram import OVER, UNDER, GaussDiagram, Pass
+from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
 from .errors import EmptySummandError, NoSuchLabelError
 from .warping import labeling
 
@@ -58,20 +58,9 @@ def connected_sum(
         raise EmptySummandError("connected sum requires crossings on both sides")
     diagram.check_edge(edge)
     other.check_edge(other_edge)
-    n = len(other.passes)
-    fresh = diagram.max_crossing_id()
-    remap: dict[int, int] = {}
-    segment = []
-    for k in range(n):
-        p = other.passes[(other_edge + 1 + k) % n]
-        if p.crossing not in remap:
-            fresh += 1
-            remap[p.crossing] = fresh
-        segment.append(Pass(remap[p.crossing], p.strand, p.sign))
+    segment = _renumbered(other.passes, other_edge + 1, diagram.max_crossing_id())
     passes = diagram.passes
-    return GaussDiagram._trusted(
-        passes[: edge + 1] + tuple(segment) + passes[edge + 1 :]
-    )
+    return GaussDiagram._trusted(passes[: edge + 1] + segment + passes[edge + 1 :])
 
 
 def find_edge_with_label(diagram: GaussDiagram, label: int) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import OVER, UNDER, GaussDiagram, Pass
+from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
 from .errors import NotAKnotError, ParseError
 from .laurent import WarpPoly
 
@@ -112,18 +112,9 @@ def _least_rotation(passes) -> int:
 def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
     """First-appearance renumbering over the lexicographically least rotation."""
     passes = diagram.passes
-    n = len(passes)
-    if n == 0:
+    if not passes:
         return diagram
-    best = _least_rotation(passes)
-    renumber: dict[int, int] = {}
-    out = []
-    for k in range(n):
-        p = passes[(best + k) % n]
-        if p.crossing not in renumber:
-            renumber[p.crossing] = len(renumber) + 1
-        out.append(Pass(renumber[p.crossing], p.strand, p.sign))
-    return GaussDiagram._trusted(tuple(out))
+    return GaussDiagram._trusted(_renumbered(passes, _least_rotation(passes), 0))
 
 
 def format_gauss(diagram: GaussDiagram, canonical: bool = False) -> str:

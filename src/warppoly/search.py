@@ -73,8 +73,8 @@ class PropertyReport:
             "checks_run": {k: v for k, v in self.checks_run},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)
 
 
 def _matchings(slots: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -90,7 +90,7 @@ def _matchings(slots: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((a, b),) + sub
 
 
-def enumerate_diagrams(c: int, bound: int = ENUMERATION_BOUND) -> Iterator[GaussDiagram]:
+def enumerate_diagrams(c: int) -> Iterator[GaussDiagram]:
     """Every unsigned code with ``c`` crossings, ids canonical, fixed order.
 
     Yields each fixed (unrotated) sequence exactly once: all pairings of
@@ -99,8 +99,10 @@ def enumerate_diagrams(c: int, bound: int = ENUMERATION_BOUND) -> Iterator[Gauss
     """
     if c < 0:
         raise ValueError("crossing count must be >= 0")
-    if c > bound:
-        raise BoundExceededError(f"enumeration of c={c} above bound {bound}")
+    if c > ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"enumeration of c={c} above bound {ENUMERATION_BOUND}"
+        )
     if c == 0:
         yield GaussDiagram(())
         return
@@ -128,16 +130,11 @@ def dealternating_number(diagram: GaussDiagram) -> int:
     c = diagram.crossing_count
     if c == 0:
         raise ZeroCrossingsError("dealternating number needs a crossing")
-    first: dict[int, int] = {}
-    odd_overs = 0
-    for i, p in enumerate(diagram.passes):
-        a = first.setdefault(p.crossing, i)
-        if a != i and (i - a) % 2 == 0:
-            raise NotAlternatableError(
-                "no crossing-change subset is alternating (code fails evenness)"
-            )
-        if i % 2 and p.strand == OVER:
-            odd_overs += 1
+    if not diagram.evenness_lint():
+        raise NotAlternatableError(
+            "no crossing-change subset is alternating (code fails evenness)"
+        )
+    odd_overs = sum(p.strand == OVER for p in diagram.passes[1::2])
     return min(odd_overs, c - odd_overs)
 
 
@@ -193,6 +190,14 @@ class _Recorder:
         except Exception as exc:
             self.check("no-unexpected-errors", False, diagram, repr(exc))
 
+    def report(self, crossings: tuple[int, int], diagrams: int) -> PropertyReport:
+        return PropertyReport(
+            crossings_checked=crossings,
+            diagrams_checked=diagrams,
+            violations=tuple(self.violations),
+            checks_run=tuple(sorted(self.counts.items())),
+        )
+
 
 def almost_alternating_scan(max_crossings: int) -> PropertyReport:
     """Check the span dichotomy for single crossing changes of alternating codes.
@@ -213,12 +218,7 @@ def almost_alternating_scan(max_crossings: int) -> PropertyReport:
                 continue
             diagrams += 1
             rec.guard(lambda: _scan_alternating_changes(rec, diagram), diagram)
-    return PropertyReport(
-        crossings_checked=(1, max_crossings),
-        diagrams_checked=diagrams,
-        violations=tuple(rec.violations),
-        checks_run=tuple(sorted(rec.counts.items())),
-    )
+    return rec.report((1, max_crossings), diagrams)
 
 
 def _scan_alternating_changes(rec: _Recorder, diagram: GaussDiagram) -> None:
@@ -398,7 +398,7 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
             dalt = None
         rec.check(
             "dealternating-reachable-iff-evenness",
-            (dalt is not None) == diagram.evenness_lint(),
+            (dalt is not None) == even,
             diagram,
             "",
         )
@@ -491,9 +491,4 @@ def run_property_suite(
             diagrams += 1
             rec.guard(lambda: _check_diagram(rec, diagram), diagram)
     _check_connected_sums(rec, min(pair_max_crossings, max_crossings))
-    return PropertyReport(
-        crossings_checked=(0, max_crossings),
-        diagrams_checked=diagrams,
-        violations=tuple(rec.violations),
-        checks_run=tuple(sorted(rec.counts.items())),
-    )
+    return rec.report((0, max_crossings), diagrams)

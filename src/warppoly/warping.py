@@ -27,22 +27,10 @@ from .laurent import WarpPoly, counts_to_poly
 def degree_at_base(diagram: GaussDiagram, edge: int) -> int:
     """Warping degree of a base point on ``edge``.
 
-    Walks the ``2c`` passes starting after ``edge`` and counts crossings
-    whose first encounter is an under pass.  This is the O(c) definition
-    used directly; :func:`labeling` propagates it around the diagram.
+    The number of crossings met under-first when walking the ``2c`` passes
+    that follow ``edge``; read off :func:`labeling`, so O(c).
     """
-    diagram.check_edge(edge)
-    passes = diagram.passes
-    n = len(passes)
-    seen = set()
-    count = 0
-    for k in range(1, n + 1):
-        p = passes[(edge + k) % n]
-        if p.crossing not in seen:
-            seen.add(p.crossing)
-            if p.strand != OVER:
-                count += 1
-    return count
+    return labeling(diagram)[diagram.check_edge(edge)]
 
 
 def labeling(diagram: GaussDiagram) -> tuple[int, ...]:

@@ -159,6 +159,27 @@ def rotation_canonicalize(diagram: GaussDiagram) -> GaussDiagram:
     return GaussDiagram(tuple(out))
 
 
+def remap_connected_sum(
+    diagram: GaussDiagram, edge: int, other: GaussDiagram, other_edge: int
+) -> GaussDiagram:
+    """Connected sum with its own first-appearance id remap of the spliced
+    summand, independent of the renumbering shared with
+    :func:`warppoly.canonicalize`.  Both summands need crossings and the
+    edges must be in range."""
+    n = len(other.passes)
+    fresh = max(p.crossing for p in diagram.passes)
+    remap: dict[int, int] = {}
+    segment = []
+    for k in range(n):
+        p = other.passes[(other_edge + 1 + k) % n]
+        if p.crossing not in remap:
+            fresh += 1
+            remap[p.crossing] = fresh
+        segment.append(Pass(remap[p.crossing], p.strand, p.sign))
+    passes = diagram.passes
+    return GaussDiagram(passes[: edge + 1] + tuple(segment) + passes[edge + 1 :])
+
+
 def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:
     """Staircase recognition reading each coefficient by a linear ``coeff()``
     scan: the O(l^2) predecessor of :func:`warppoly.recognize`."""

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from warppoly import GaussDiagram, Pass, parse_gauss, validate
+from warppoly import GaussDiagram, Pass, enumerate_diagrams, parse_gauss, validate
 from warppoly.errors import (
     EdgeOutOfRangeError,
     OddLengthError,
@@ -11,6 +11,7 @@ from warppoly.errors import (
     ZeroCrossingsError,
 )
 
+from _oracles import phase_dealternating
 from _strategies import diagrams
 
 TREFOIL = "O1 U2 O3 U1 O2 U3"
@@ -133,3 +134,11 @@ def test_mirror_and_reverse_are_commuting_involutions(d):
 def test_crossing_change_is_involution(d):
     x = d.passes[0].crossing
     assert d.crossing_change(x).crossing_change(x) == d
+
+
+def test_evenness_lint_matches_phase_reachability():
+    # evenness is exactly the condition under which some alternating phase
+    # is reachable by crossing changes
+    for c in range(6):
+        for d in enumerate_diagrams(c):
+            assert d.evenness_lint() == (phase_dealternating(d) is not None)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from warppoly import (
     GaussDiagram,
+    Pass,
     WarpPoly,
     connected_sum,
     enumerate_diagrams,
@@ -13,6 +16,8 @@ from warppoly import (
     warping_polynomial,
 )
 from warppoly.errors import EdgeOutOfRangeError, EmptySummandError, NoSuchLabelError
+
+from _oracles import remap_connected_sum
 
 TREFOIL = parse_gauss("O1 U2 O3 U1 O2 U3")
 EMPTY = GaussDiagram(())
@@ -116,3 +121,38 @@ def test_find_edge_with_label_examples():
     assert find_edge_with_label(parse_gauss("O1 O2 O3 U1 U2 U3"), 0) == 5
     with pytest.raises(NoSuchLabelError):
         find_edge_with_label(TREFOIL, 0)
+
+
+def _scrambled(diagram, rng):
+    # distinct ids with gaps and a random sign per crossing, so the splice
+    # sees a nonzero max id offset and signs to carry across
+    ids = diagram.crossing_ids()
+    new_ids = dict(zip(ids, rng.sample(range(1, 40), len(ids))))
+    signs = {x: rng.choice((None, "+", "-")) for x in ids}
+    return GaussDiagram(
+        tuple(
+            Pass(new_ids[p.crossing], p.strand, signs[p.crossing])
+            for p in diagram.passes
+        )
+    )
+
+
+def test_connected_sum_matches_remap_oracle():
+    small = [d for c in (1, 2) for d in enumerate_diagrams(c)]
+    for left in small:
+        for right in small:
+            for edge in range(left.edge_count):
+                for other_edge in range(right.edge_count):
+                    assert connected_sum(left, edge, right, other_edge) == (
+                        remap_connected_sum(left, edge, right, other_edge)
+                    )
+    rng = random.Random(20261018)
+    codes = [d for c in (1, 2, 3) for d in enumerate_diagrams(c)]
+    for _ in range(3000):
+        left = _scrambled(rng.choice(codes), rng)
+        right = _scrambled(rng.choice(codes), rng)
+        edge = rng.randrange(left.edge_count)
+        other_edge = rng.randrange(right.edge_count)
+        assert connected_sum(left, edge, right, other_edge) == (
+            remap_connected_sum(left, edge, right, other_edge)
+        )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,7 +148,9 @@ def test_almost_alternating_scan_bound():
 
 
 def test_property_suite_small():
-    report = run_property_suite(3)
+    # splice pairs are limited to c <= 1: the c <= 5 fixture already runs
+    # the c <= 3 connected-sum sweep (criteria 3 and 5)
+    report = run_property_suite(3, pair_max_crossings=1)
     assert report.ok
     assert report.diagrams_checked == 1 + 2 + 12 + 120
     assert report.crossings_checked == (0, 3)
@@ -175,6 +178,14 @@ def test_property_suite_report_json_stable():
     assert parsed["violations"] == []
     # byte-identical across runs
     assert run_property_suite(1).to_json() == blob
+
+
+def test_verify_json_pinned(full_suite_report):
+    # stdout of `warp --json verify --max-crossings 5`, byte for byte
+    blob = (full_suite_report.to_json() + "\n").encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "7e8ba3ae597bf37185337acb8a917654476a401e8978f7719ffc58c0741dbdf7"
+    )
 
 
 def test_property_suite_flags_corrupted_labeling(monkeypatch):
