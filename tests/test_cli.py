@@ -193,3 +193,130 @@ def test_dalt_on_large_braid_closure(capsys):
     code, out, err = run(capsys, "dalt", "--braid", " ".join(["1 2"] * 1000), "--strands", "3")
     assert (code, err) == (0, "")
     assert out == "1000\n"
+
+
+# (argv, exit code, stdout, stderr), recorded from the CLI and fixed byte for byte
+PINNED = [
+    (['poly', TREFOIL], 0, '3t+3t^2\n', ''),
+    (['--json', 'poly', TREFOIL], 0, '{"poly": "3t+3t^2"}\n', ''),
+    (['label', TREFOIL], 0, '2 1 2 1 2 1\n', ''),
+    (['--json', 'label', TREFOIL], 0, '{"labels": [2, 1, 2, 1, 2, 1]}\n', ''),
+    (['span', TREFOIL], 0, '1\n', ''),
+    (['--json', 'span', TREFOIL], 0, '{"value": 1}\n', ''),
+    (['degree', TREFOIL], 0, '1\n', ''),
+    (['--json', 'degree', TREFOIL], 0, '{"value": 1}\n', ''),
+    (['monotone', TREFOIL], 0, 'false\n', ''),
+    (['--json', 'monotone', TREFOIL], 0, '{"value": false}\n', ''),
+    (['alternating', TREFOIL], 0, 'true\n', ''),
+    (['--json', 'alternating', TREFOIL], 0, '{"value": true}\n', ''),
+    (['onebridge', TREFOIL], 0, 'false\n', ''),
+    (['--json', 'onebridge', TREFOIL], 0, '{"value": false}\n', ''),
+    (['dalt', TREFOIL], 0, '0\n', ''),
+    (['--json', 'dalt', TREFOIL], 0, '{"value": 0}\n', ''),
+    (['mirror', TREFOIL], 0, 'U1 O2 U3 O1 U2 O3\n3t+3t^2\n', ''),
+    (['--json', 'mirror', TREFOIL], 0, '{"code": "U1 O2 U3 O1 U2 O3", "poly": "3t+3t^2"}\n', ''),
+    (['reverse', TREFOIL], 0, 'U3 O2 U1 O3 U2 O1\n3t+3t^2\n', ''),
+    (['--json', 'reverse', TREFOIL], 0, '{"code": "U3 O2 U1 O3 U2 O1", "poly": "3t+3t^2"}\n', ''),
+    (['dalt', 'O1 O2 O3 U1 U2 U3'], 0, '1\n', ''),
+    (['--json', 'dalt', 'O1 O2 O3 U1 U2 U3'], 0, '{"value": 1}\n', ''),
+    (['monotone', 'O1 U1'], 0, 'true\n', ''),
+    (['--json', 'monotone', 'O1 U1'], 0, '{"value": true}\n', ''),
+    (['onebridge', 'O1 O2 O3 U1 U2 U3'], 0, 'true\n', ''),
+    (['--json', 'onebridge', 'O1 O2 O3 U1 U2 U3'], 0, '{"value": true}\n', ''),
+    (['mirror', 'O1 U1'], 0, 'U1 O1\n1+t\n', ''),
+    (['--json', 'mirror', 'O1 U1'], 0, '{"code": "U1 O1", "poly": "1+t"}\n', ''),
+    (['cc', '--crossing', '1', TREFOIL], 0, 'U1 U2 O3 O1 O2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['--json', 'cc', '--crossing', '1', TREFOIL], 0, '{"code": "U1 U2 O3 O1 O2 U3", "poly": "1+2t+2t^2+t^3"}\n', ''),
+    (['kink', '--type', '1a', '--edge', '1', TREFOIL], 0, 'O1 U2 O4 U4 O3 U1 O2 U3\n4t+4t^2\n', ''),
+    (['--json', 'kink', '--type', '1a', '--edge', '1', TREFOIL], 0, '{"code": "O1 U2 O4 U4 O3 U1 O2 U3", "poly": "4t+4t^2"}\n', ''),
+    (['kink', '--type', '1b', '--edge', '1', TREFOIL], 0, 'O1 U2 U4 O4 O3 U1 O2 U3\nt+4t^2+3t^3\n', ''),
+    (['--json', 'kink', '--type', '1b', '--edge', '1', TREFOIL], 0, '{"code": "O1 U2 U4 O4 O3 U1 O2 U3", "poly": "t+4t^2+3t^3"}\n', ''),
+    (['fg', '--crossing', '1', TREFOIL], 0, 'f: t+2t^2\ng: 2t+t^2\npredicted: 1+2t+2t^2+t^3\n', ''),
+    (['--json', 'fg', '--crossing', '1', TREFOIL], 0, '{"f": "t+2t^2", "g": "2t+t^2", "predicted": "1+2t+2t^2+t^3"}\n', ''),
+    (['connect', TREFOIL, 'O1 U1', '--edge', '5', '--edge2', '1'], 0, 'O1 U2 O3 U1 O2 U3 O4 U4\n4t+4t^2\n', ''),
+    (['--json', 'connect', TREFOIL, 'O1 U1', '--edge', '5', '--edge2', '1'], 0, '{"code": "O1 U2 O3 U1 O2 U3 O4 U4", "poly": "4t+4t^2"}\n', ''),
+    (['checkpoly', '3t+3t^2'], 0, 'Accept: k=1 l=1 m=3\n', ''),
+    (['--json', 'checkpoly', '3t+3t^2'], 0, '{"accepted": true, "k": 1, "l": 1, "m": [3]}\n', ''),
+    (['checkpoly', 't+t^2'], 0, 'Reject: SumTooSmall\n', ''),
+    (['--json', 'checkpoly', 't+t^2'], 0, '{"accepted": false, "reason": "SumTooSmall"}\n', ''),
+    (['checkpoly', '0:1,2,2,1'], 0, 'Accept: k=0 l=3 m=1,1,1\n', ''),
+    (['--json', 'checkpoly', '0:1,2,2,1'], 0, '{"accepted": true, "k": 0, "l": 3, "m": [1, 1, 1]}\n', ''),
+    (['checkpoly', '2+2t'], 0, 'Accept: k=0 l=1 m=2\n', ''),
+    (['--json', 'checkpoly', '2+2t'], 0, '{"accepted": true, "k": 0, "l": 1, "m": [2]}\n', ''),
+    (['witness', '3t+3t^2'], 0, 'O1 U2 O3 U3 O2 U1\n3t+3t^2\n', ''),
+    (['--json', 'witness', '3t+3t^2'], 0, '{"code": "O1 U2 O3 U3 O2 U1", "poly": "3t+3t^2"}\n', ''),
+    (['witness', '0:1,2,2,1'], 0, 'O1 O2 O3 U1 U2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['--json', 'witness', '0:1,2,2,1'], 0, '{"code": "O1 O2 O3 U1 U2 U3", "poly": "1+2t+2t^2+t^3"}\n', ''),
+    (['witness', 't+t^2'], 3, 'Reject: SumTooSmall\n', ''),
+    (['--json', 'witness', 't+t^2'], 3, '{"accepted": false, "reason": "SumTooSmall"}\n', ''),
+    (['verify', '--max-crossings', '0'], 0, 'checked 1 diagrams (crossings 0..0), 8 checks, 0 violations\n', ''),
+    (['--json', 'verify', '--max-crossings', '0'], 0, '{\n  "crossings_checked": [\n    0,\n    0\n  ],\n  "diagrams_checked": 1,\n  "violations": [],\n  "checks_run": {\n    "gap-free": 1,\n    "lower-degree-is-warping-degree": 1,\n    "mirror-reflects": 1,\n    "monotone-iff-nonzero-constant-term": 1,\n    "orientation-reverse-reflects": 1,\n    "recognition-soundness": 1,\n    "span-complement-identity": 1,\n    "span-orientation-mirror-invariance": 1\n  }\n}\n', ''),
+    (['verify', '--max-crossings', '1'], 0, 'checked 3 diagrams (crossings 0..1), 110 checks, 0 violations\n', ''),
+    (['span', '--braid', '1 1 1', '--strands', '2'], 0, '1\n', ''),
+    (['--json', 'span', '--braid', '1 1 1', '--strands', '2'], 0, '{"value": 1}\n', ''),
+    (['mirror', '--braid', '1 -2 1 -2', '--strands', '3'], 0, 'U1- O2+ U4+ O1- U3- O4+ U2+ O3-\n4t^2+4t^3\n', ''),
+    (['--json', 'mirror', '--braid', '1 -2 1 -2', '--strands', '3'], 0, '{"code": "U1- O2+ U4+ O1- U3- O4+ U2+ O3-", "poly": "4t^2+4t^3"}\n', ''),
+    (['--canonical', 'mirror', TREFOIL], 0, 'O1 U2 O3 U1 O2 U3\n3t+3t^2\n', ''),
+    (['--json', '--canonical', 'mirror', TREFOIL], 0, '{"code": "O1 U2 O3 U1 O2 U3", "poly": "3t+3t^2"}\n', ''),
+    (['--canonical', 'reverse', 'O3 U1 O2 U3 O1 U2'], 0, 'O1 U2 O3 U1 O2 U3\n3t+3t^2\n', ''),
+    (['--json', '--canonical', 'reverse', 'O3 U1 O2 U3 O1 U2'], 0, '{"code": "O1 U2 O3 U1 O2 U3", "poly": "3t+3t^2"}\n', ''),
+    (['--canonical', 'cc', '--crossing', '7', 'O5 U7 O9 U5 O7 U9'], 0, 'O1 O2 O3 U1 U2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['--json', '--canonical', 'cc', '--crossing', '7', 'O5 U7 O9 U5 O7 U9'], 0, '{"code": "O1 O2 O3 U1 U2 U3", "poly": "1+2t+2t^2+t^3"}\n', ''),
+    (['--canonical', 'kink', '--type', '1b', '--edge', '3', TREFOIL], 0, 'O1 O2 U3 O4 U2 O3 U4 U1\nt+4t^2+3t^3\n', ''),
+    (['--json', '--canonical', 'kink', '--type', '1b', '--edge', '3', TREFOIL], 0, '{"code": "O1 O2 U3 O4 U2 O3 U4 U1", "poly": "t+4t^2+3t^3"}\n', ''),
+    (['--canonical', 'connect', 'O1 U1', TREFOIL, '--edge', '1', '--edge2', '2'], 0, 'O1 O2 U2 U3 O4 U1 O3 U4\n3t+4t^2+t^3\n', ''),
+    (['--json', '--canonical', 'connect', 'O1 U1', TREFOIL, '--edge', '1', '--edge2', '2'], 0, '{"code": "O1 O2 U2 U3 O4 U1 O3 U4", "poly": "3t+4t^2+t^3"}\n', ''),
+    (['--canonical', 'witness', '0:1,2,2,1'], 0, 'O1 O2 O3 U1 U2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['--json', '--canonical', 'witness', '0:1,2,2,1'], 0, '{"code": "O1 O2 O3 U1 U2 U3", "poly": "1+2t+2t^2+t^3"}\n', ''),
+    (['--canonical', 'mirror', '--braid', '1 -2 1 -2', '--strands', '3'], 0, 'O1+ U2+ O3- U4- O2+ U1+ O4- U3-\n4t^2+4t^3\n', ''),
+    (['--json', '--canonical', 'mirror', '--braid', '1 -2 1 -2', '--strands', '3'], 0, '{"code": "O1+ U2+ O3- U4- O2+ U1+ O4- U3-", "poly": "4t^2+4t^3"}\n', ''),
+    (['poly', 'O1 X2'], 1, '', "error: bad pass token 'X2' (at token 2)\n"),
+    (['--json', 'poly', 'O1 X2'], 1, '', "error: bad pass token 'X2' (at token 2)\n"),
+    (['poly', 'O1 U2'], 1, '', 'error: crossing 1 occurs 1 times over, 0 times under\n'),
+    (['poly', 'O1 U1 O1'], 1, '', 'error: pass sequence has odd length 3\n'),
+    (['poly', TREFOIL, '--braid', '1', '--strands', '2'], 1, '', 'error: give a Gauss code or --braid, not both\n'),
+    (['poly', '--braid', '1 1 1'], 1, '', 'error: --braid requires --strands\n'),
+    (['poly'], 1, '', 'error: missing Gauss code (or --braid/--strands)\n'),
+    (['span', '--braid', '1 1', '--strands', '2'], 1, '', 'error: closure has 2 components, not 1\n'),
+    (['span', '--braid', '1 x', '--strands', '2'], 1, '', "error: bad braid letter 'x' (at token 2)\n"),
+    (['span', '--braid', '3', '--strands', '2'], 1, '', 'error: letter 3 outside [1, 1]\n'),
+    (['span', '--braid', '', '--strands', '2'], 1, '', 'error: empty braid word\n'),
+    (['span', '--braid', '1', '--strands', '1'], 1, '', 'error: braid needs at least 2 strands\n'),
+    (['cc', '--crossing', '9', TREFOIL], 1, '', 'error: no crossing 9 in diagram\n'),
+    (['kink', '--type', '1a', '--edge', '6', TREFOIL], 1, '', 'error: edge 6 out of range [0, 6)\n'),
+    (['fg', '--crossing', '4', TREFOIL], 1, '', 'error: no crossing 4 in diagram\n'),
+    (['dalt', 'O1 O2 U1 U2'], 1, '', 'error: no crossing-change subset is alternating (code fails evenness)\n'),
+    (['dalt', ''], 1, '', 'error: dealternating number needs a crossing\n'),
+    (['connect', 'O1 X1', 'O1 U1', '--edge', '0', '--edge2', '0'], 1, '', "error: bad pass token 'X1' (at token 2)\n"),
+    (['connect', TREFOIL, 'O1 U1', '--edge', '7', '--edge2', '0'], 1, '', 'error: edge 7 out of range [0, 6)\n'),
+    (['checkpoly', 't+'], 1, '', "error: bad term '' (at token 2)\n"),
+    (['witness', 'x'], 1, '', "error: bad term 'x' (at token 1)\n"),
+    (['checkpoly', '0:'], 1, '', "error: bad coefficient '' (at token 1)\n"),
+    (['--json', 'witness', 't+t^2'], 3, '{"accepted": false, "reason": "SumTooSmall"}\n', ''),
+    (['verify', '--max-crossings', '7'], 1, '', 'error: max_crossings 7 above bound\n'),
+]
+
+# argparse usage errors: the exit code only, since their text differs
+# between Python versions
+USAGE_ERRORS = [
+    ([], 1),
+    (['no-such-command'], 1),
+    (['kink', '--type', '2', '--edge', '0', TREFOIL], 1),
+    (['cc', TREFOIL], 1),
+    (['span', '--braid', '1', '--strands', 'x'], 1),
+    (['connect', TREFOIL], 1),
+    (['--help'], 0),
+    (['poly', '--help'], 0),
+    (['verify', '--max-crossings', 'x'], 1),
+    (['poly', TREFOIL, 'extra'], 1),
+]
+
+
+@pytest.mark.parametrize(("argv", "exit_code", "out", "err"), PINNED)
+def test_output_pinned(capsys, argv, exit_code, out, err):
+    assert run(capsys, *argv) == (exit_code, out, err)
+
+
+@pytest.mark.parametrize(("argv", "exit_code"), USAGE_ERRORS)
+def test_usage_exit_code_pinned(capsys, argv, exit_code):
+    assert run(capsys, *argv)[0] == exit_code
