@@ -2,8 +2,8 @@
 """Run the exhaustive identity sweep and the almost-alternating scan.
 
 Writes one JSON report per sweep (stdout by default), exits 2 if any
-violation was found.  The default bound (5) checks 32,055 codes and
-takes under a minute.
+violation was found and 1 if the bound is outside 0..6.  The default
+bound (5) checks 32,055 codes and takes under a minute.
 """
 
 import argparse
@@ -21,8 +21,12 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.time()
-    suite = run_property_suite(args.max_crossings)
-    scan = almost_alternating_scan(args.max_crossings)
+    try:
+        suite = run_property_suite(args.max_crossings)
+        scan = almost_alternating_scan(args.max_crossings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.time() - started
 
     blob = json.dumps(

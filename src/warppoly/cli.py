@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every subcommand that reads a diagram accepts either a Gauss code as a
-positional argument or ``--braid "<letters>" --strands N`` (positive
-letter = the strand entering at the lower-numbered position passes
-over).  Output is plain text by default, JSON with ``--json``; emitted
-Gauss codes are canonicalized with ``--canonical``.
+Each subcommand is defined in one place, inside ``_build_parser``: its
+name, help, arguments and action sit together, and ``main`` runs the
+action argparse selected.  Every subcommand that reads a diagram accepts
+either a Gauss code as a positional argument or ``--braid "<letters>"
+--strands N`` (positive letter = the strand entering at the
+lower-numbered position passes over).  Output is plain text by default,
+JSON with ``--json``; emitted Gauss codes are canonicalized with
+``--canonical``.
 
 Exit codes: 0 success (including a checkpoly rejection, which is a valid
 answer); 1 input or usage error; 2 verification found violations; 3
@@ -20,72 +23,6 @@ import sys
 from . import characterize, moves, notation, search, warping
 from .diagram import GaussDiagram
 from .errors import WarpPolyError
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="warp",
-        description="Warping degree labelings, warping polynomials, and spans "
-        "of oriented knot diagrams given as Gauss codes.",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--canonical",
-        action="store_true",
-        help="canonicalize emitted Gauss codes (first-appearance ids, least rotation)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def diagram_command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("code", nargs="?", help="Gauss code, e.g. 'O1 U2 O3 U1 O2 U3'")
-        p.add_argument(
-            "--braid",
-            help="space-separated signed generator letters; on a positive "
-            "letter the strand entering from the lower-numbered position "
-            "passes over (span results are convention-independent)",
-        )
-        p.add_argument("--strands", type=int, help="strand count for --braid")
-        return p
-
-    diagram_command("poly", "warping polynomial")
-    diagram_command("label", "warping degree of every edge")
-    diagram_command("span", "max minus min warping degree")
-    diagram_command("degree", "warping degree d(D)")
-    diagram_command("monotone", "whether d(D) = 0")
-    diagram_command("alternating", "whether over/under strictly alternate")
-    diagram_command("onebridge", "whether the code is a rotation of O^c U^c")
-    diagram_command("mirror", "swap over/under everywhere")
-    diagram_command("reverse", "reverse the orientation")
-    diagram_command("dalt", "dealternating number by position parity")
-
-    p = diagram_command("cc", "change one crossing")
-    p.add_argument("--crossing", type=int, required=True)
-
-    p = diagram_command("kink", "insert a one-crossing curl at an edge")
-    p.add_argument("--type", choices=("1a", "1b"), required=True,
-                   help="1a = over-first, 1b = under-first")
-    p.add_argument("--edge", type=int, required=True)
-
-    p = diagram_command("fg", "split W at a crossing and predict its change")
-    p.add_argument("--crossing", type=int, required=True)
-
-    p = sub.add_parser("connect", help="connected sum of two codes")
-    p.add_argument("code", help="first Gauss code")
-    p.add_argument("code2", help="second Gauss code")
-    p.add_argument("--edge", type=int, required=True, help="splice edge in the first code")
-    p.add_argument("--edge2", type=int, required=True, help="splice edge in the second code")
-
-    p = sub.add_parser("checkpoly", help="decide whether a polynomial is a warping polynomial")
-    p.add_argument("poly", help="e.g. '3t+3t^2' or list form '1:3,3'")
-
-    p = sub.add_parser("witness", help="construct a diagram realizing a polynomial")
-    p.add_argument("poly")
-
-    p = sub.add_parser("verify", help="exhaustive identity check over all small codes")
-    p.add_argument("--max-crossings", type=int, default=4)
-
-    return parser
 
 
 def _load_diagram(args) -> GaussDiagram:
@@ -113,38 +50,139 @@ def _emit_diagram(args, diagram: GaussDiagram) -> None:
     _emit(args, {"code": code, "poly": poly}, f"{code}\n{poly}")
 
 
-def _run(args) -> int:
-    cmd = args.command
+def _accepted_form(args):
+    """Recognize ``args.poly``; print a rejection and return None if refused."""
+    result = characterize.recognize(notation.parse_poly(args.poly))
+    if isinstance(result, characterize.Rejection):
+        _emit(args, {"accepted": False, "reason": result.reason}, f"Reject: {result.reason}")
+        return None
+    return result
 
-    if cmd == "checkpoly":
-        result = characterize.recognize(notation.parse_poly(args.poly))
-        if isinstance(result, characterize.CharForm):
-            payload = {
-                "accepted": True,
-                "k": result.k,
-                "l": result.l,
-                "m": list(result.m),
-            }
-            text = f"Accept: k={result.k} l={result.l} m={','.join(map(str, result.m)) or '-'}"
-        else:
-            payload = {"accepted": False, "reason": result.reason}
-            text = f"Reject: {result.reason}"
-        _emit(args, payload, text)
-        return 0
 
-    if cmd == "witness":
-        result = characterize.recognize(notation.parse_poly(args.poly))
-        if isinstance(result, characterize.Rejection):
-            _emit(
-                args,
-                {"accepted": False, "reason": result.reason},
-                f"Reject: {result.reason}",
+def _build_parser() -> argparse.ArgumentParser:
+    # The library is looked up here, on every call, never in a module-level
+    # table: wrappers installed on module attributes after import (tracers,
+    # monkeypatched tests) must see every call.
+    parser = argparse.ArgumentParser(
+        prog="warp",
+        description="Warping degree labelings, warping polynomials, and spans "
+        "of oriented knot diagrams given as Gauss codes.",
+    )
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument(
+        "--canonical",
+        action="store_true",
+        help="canonicalize emitted Gauss codes (first-appearance ids, least rotation)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text, run, reads_diagram=True):
+        """Add a subcommand whose action is ``run(args)``, or
+        ``run(args, diagram)`` when it reads a diagram; returns its parser."""
+        p = sub.add_parser(name, help=help_text)
+        if reads_diagram:
+            p.add_argument("code", nargs="?", help="Gauss code, e.g. 'O1 U2 O3 U1 O2 U3'")
+            p.add_argument(
+                "--braid",
+                help="space-separated signed generator letters; on a positive "
+                "letter the strand entering from the lower-numbered position "
+                "passes over (span results are convention-independent)",
             )
-            return 3
-        _emit_diagram(args, characterize.witness(result))
-        return 0
+            p.add_argument("--strands", type=int, help="strand count for --braid")
+            p.set_defaults(run=lambda args: run(args, _load_diagram(args)))
+        else:
+            p.set_defaults(run=run)
+        return p
 
-    if cmd == "verify":
+    def query(name, help_text, value):
+        # ints print as digits, bools as true/false
+        def run(args, diagram):
+            result = value(diagram)
+            _emit(args, {"value": result}, str(result).lower())
+
+        command(name, help_text, run)
+
+    def transform(name, help_text, move):
+        return command(name, help_text, lambda args, d: _emit_diagram(args, move(args, d)))
+
+    def poly(args, diagram):
+        text = notation.format_poly(warping.warping_polynomial(diagram))
+        _emit(args, {"poly": text}, text)
+
+    command("poly", "warping polynomial", poly)
+
+    def label(args, diagram):
+        labels = warping.labeling(diagram)
+        _emit(args, {"labels": list(labels)}, " ".join(map(str, labels)))
+
+    command("label", "warping degree of every edge", label)
+    query("span", "max minus min warping degree", warping.diagram_span)
+    query("degree", "warping degree d(D)", warping.warping_degree)
+    query("monotone", "whether d(D) = 0", warping.is_monotone)
+    query("alternating", "whether over/under strictly alternate", GaussDiagram.is_alternating)
+    query("onebridge", "whether the code is a rotation of O^c U^c", GaussDiagram.is_one_bridge)
+    transform("mirror", "swap over/under everywhere", lambda args, d: d.mirror())
+    transform("reverse", "reverse the orientation", lambda args, d: d.reverse())
+    query("dalt", "dealternating number by position parity", search.dealternating_number)
+
+    p = transform("cc", "change one crossing", lambda args, d: d.crossing_change(args.crossing))
+    p.add_argument("--crossing", type=int, required=True)
+
+    def kink(args, diagram):
+        if args.type == "1a":
+            return moves.insert_kink_over_first(diagram, args.edge)
+        return moves.insert_kink_under_first(diagram, args.edge)
+
+    p = transform("kink", "insert a one-crossing curl at an edge", kink)
+    p.add_argument("--type", choices=("1a", "1b"), required=True,
+                   help="1a = over-first, 1b = under-first")
+    p.add_argument("--edge", type=int, required=True)
+
+    def fg(args, diagram):
+        f, g = warping.fg_decomposition(diagram, args.crossing)
+        predicted = warping.predict_crossing_change(diagram, args.crossing)
+        polys = {
+            "f": notation.format_poly(f),
+            "g": notation.format_poly(g),
+            "predicted": notation.format_poly(predicted),
+        }
+        _emit(args, polys, "\n".join(f"{k}: {v}" for k, v in polys.items()))
+
+    p = command("fg", "split W at a crossing and predict its change", fg)
+    p.add_argument("--crossing", type=int, required=True)
+
+    def connect(args):
+        left, right = notation.parse_gauss(args.code), notation.parse_gauss(args.code2)
+        _emit_diagram(args, moves.connected_sum(left, args.edge, right, args.edge2))
+
+    p = command("connect", "connected sum of two codes", connect, reads_diagram=False)
+    p.add_argument("code", help="first Gauss code")
+    p.add_argument("code2", help="second Gauss code")
+    p.add_argument("--edge", type=int, required=True, help="splice edge in the first code")
+    p.add_argument("--edge2", type=int, required=True, help="splice edge in the second code")
+
+    def checkpoly(args):
+        form = _accepted_form(args)
+        if form is not None:
+            m = ",".join(map(str, form.m)) or "-"
+            payload = {"accepted": True, "k": form.k, "l": form.l, "m": list(form.m)}
+            _emit(args, payload, f"Accept: k={form.k} l={form.l} m={m}")
+
+    p = command("checkpoly", "decide whether a polynomial is a warping polynomial",
+                checkpoly, reads_diagram=False)
+    p.add_argument("poly", help="e.g. '3t+3t^2' or list form '1:3,3'")
+
+    def witness(args):
+        form = _accepted_form(args)
+        if form is None:
+            return 3
+        _emit_diagram(args, characterize.witness(form))
+
+    p = command("witness", "construct a diagram realizing a polynomial", witness,
+                reads_diagram=False)
+    p.add_argument("poly")
+
+    def verify(args):
         report = search.run_property_suite(args.max_crossings)
         if args.json:
             print(report.to_json())
@@ -160,66 +198,11 @@ def _run(args) -> int:
                 print(f"  {v.property_id}: {v.code} ({v.detail})")
         return 0 if report.ok else 2
 
-    if cmd == "connect":
-        left = notation.parse_gauss(args.code)
-        right = notation.parse_gauss(args.code2)
-        _emit_diagram(args, moves.connected_sum(left, args.edge, right, args.edge2))
-        return 0
+    p = command("verify", "exhaustive identity check over all small codes", verify,
+                reads_diagram=False)
+    p.add_argument("--max-crossings", type=int, default=4)
 
-    diagram = _load_diagram(args)
-
-    if cmd == "poly":
-        text = notation.format_poly(warping.warping_polynomial(diagram))
-        _emit(args, {"poly": text}, text)
-    elif cmd == "label":
-        labels = warping.labeling(diagram)
-        _emit(args, {"labels": list(labels)}, " ".join(map(str, labels)))
-    elif cmd == "span":
-        value = warping.diagram_span(diagram)
-        _emit(args, {"value": value}, str(value))
-    elif cmd == "degree":
-        value = warping.warping_degree(diagram)
-        _emit(args, {"value": value}, str(value))
-    elif cmd == "monotone":
-        value = warping.is_monotone(diagram)
-        _emit(args, {"value": value}, str(value).lower())
-    elif cmd == "alternating":
-        value = diagram.is_alternating()
-        _emit(args, {"value": value}, str(value).lower())
-    elif cmd == "onebridge":
-        value = diagram.is_one_bridge()
-        _emit(args, {"value": value}, str(value).lower())
-    elif cmd == "dalt":
-        value = search.dealternating_number(diagram)
-        _emit(args, {"value": value}, str(value))
-    elif cmd == "mirror":
-        _emit_diagram(args, diagram.mirror())
-    elif cmd == "reverse":
-        _emit_diagram(args, diagram.reverse())
-    elif cmd == "cc":
-        _emit_diagram(args, diagram.crossing_change(args.crossing))
-    elif cmd == "kink":
-        insert = (
-            moves.insert_kink_over_first
-            if args.type == "1a"
-            else moves.insert_kink_under_first
-        )
-        _emit_diagram(args, insert(diagram, args.edge))
-    elif cmd == "fg":
-        f, g = warping.fg_decomposition(diagram, args.crossing)
-        predicted = warping.predict_crossing_change(diagram, args.crossing)
-        _emit(
-            args,
-            {
-                "f": notation.format_poly(f),
-                "g": notation.format_poly(g),
-                "predicted": notation.format_poly(predicted),
-            },
-            f"f: {f}\ng: {g}\npredicted: {predicted}",
-        )
-    else:  # pragma: no cover - argparse rejects unknown commands
-        raise WarpPolyError(f"unknown command {cmd}")
-    return 0
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; fold into the input-error code
         return 0 if exc.code == 0 else 1
     try:
-        return _run(args)
+        return args.run(args) or 0
     except (WarpPolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

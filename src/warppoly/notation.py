@@ -167,9 +167,20 @@ def braid_closure(word: BraidWord) -> GaussDiagram:
     Strands are simulated through the word; the letter at step ``s``
     creates crossing id ``s``.  The closure is traversed starting with the
     strand that begins at position 1, and each strand's recorded passes
-    are concatenated.  Signs follow the letters' signs.
+    are concatenated.  Signs follow the letters' signs.  A word on more
+    than ``len(letters) + 1`` strands is refused at once, in time linear in
+    its letters: its closure leaves some strand uncrossed.
     """
     n = word.n
+    if n > len(word.letters) + 1:
+        # a single cycle on n strands needs at least n - 1 letters; count the
+        # components from the touched positions alone, since n may be huge
+        at: dict[int, int] = {}  # touched position -> id of strand there
+        for w in word.letters:
+            a = abs(w)
+            at[a], at[a + 1] = at.get(a + 1, a + 1), at.get(a, a)
+        cycles = n - len(at) + _cycle_count(at)
+        raise NotAKnotError(f"closure has {cycles} components, not 1")
     positions = list(range(1, n + 1))  # positions[p-1] = id of strand occupying p
     recorded: dict[int, list[Pass]] = {s: [] for s in range(1, n + 1)}
     for step, w in enumerate(word.letters, start=1):
@@ -192,16 +203,19 @@ def braid_closure(word: BraidWord) -> GaussDiagram:
         passes.extend(recorded[strand])
         strand = end_position[strand]
     if len(visited) != n:
-        cycles, seen = 0, set()
-        for s in range(1, n + 1):
-            if s in seen:
-                continue
+        raise NotAKnotError(f"closure has {_cycle_count(end_position)} components, not 1")
+    return GaussDiagram._trusted(tuple(passes))
+
+
+def _cycle_count(perm: dict[int, int]) -> int:
+    cycles, seen = 0, set()
+    for s in perm:
+        if s not in seen:
             cycles += 1
             while s not in seen:
                 seen.add(s)
-                s = end_position[s]
-        raise NotAKnotError(f"closure has {cycles} components, not 1")
-    return GaussDiagram._trusted(tuple(passes))
+                s = perm[s]
+    return cycles
 
 
 def parse_poly(text: str) -> WarpPoly:

@@ -168,6 +168,13 @@ def span_witness(c: int, s: int) -> GaussDiagram:
     raise NotConstructibleError(f"no recipe for c={c}, span={s}")
 
 
+def _check_sweep_bound(max_crossings: int) -> None:
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings {max_crossings} below 0")
+    if max_crossings > ENUMERATION_BOUND:
+        raise BoundExceededError(f"max_crossings {max_crossings} above bound")
+
+
 class _Recorder:
     def __init__(self):
         self.violations: list[Violation] = []
@@ -206,10 +213,11 @@ def almost_alternating_scan(max_crossings: int) -> PropertyReport:
     every crossing, the changed diagram must have span 2 or 3, and span 2
     exactly when one side of the crossing's f/g split is a monomial.
     Changes whose result is still alternating (possible only at c = 1,
-    where no almost-alternating diagram arises) are skipped.
+    where no almost-alternating diagram arises) are skipped.  Raises
+    ``ValueError`` below 0 and :class:`BoundExceededError` above
+    ``ENUMERATION_BOUND``.
     """
-    if max_crossings > ENUMERATION_BOUND:
-        raise BoundExceededError(f"max_crossings {max_crossings} above bound")
+    _check_sweep_bound(max_crossings)
     rec = _Recorder()
     diagrams = 0
     for c in range(1, max_crossings + 1):
@@ -428,48 +436,42 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
             span_floor = max(left_span, right_span)
             # expectations depend only on the label pair, not the edge pair
             expected: dict[tuple[int, int], WarpPoly] = {}
+
+            def splice(edge, other_edge):
+                i, j = left_labels[edge], right_labels[other_edge]
+                want = expected.get((i, j))
+                if want is None:
+                    want = left_poly.shift(j) + right_poly.shift(i)
+                    expected[(i, j)] = want
+                glued = moves.connected_sum(left, edge, right, other_edge)
+                glued_poly = warping.warping_polynomial(glued)
+                rec.check(
+                    "connected-sum-identity",
+                    glued_poly == want,
+                    glued,
+                    lambda: f"{left} #({edge},{other_edge}) {right}",
+                )
+                glued_span = glued_poly.span()
+                rec.check(
+                    "connected-sum-span-bounds",
+                    span_floor <= glued_span <= left_span + right_span,
+                    glued,
+                    lambda: f"spans {left_span}, {right_span} -> {glued_span}",
+                )
+                if left_span >= right_span:
+                    equality = left_min - right_min <= i - j <= left_max - right_max
+                else:
+                    equality = right_min - left_min <= j - i <= right_max - left_max
+                rec.check(
+                    "connected-sum-span-equality-criterion",
+                    (glued_span == span_floor) == equality,
+                    glued,
+                    lambda: f"i {i}, j {j}",
+                )
+
             for edge in range(len(left.passes)):
-                i = left_labels[edge]
                 for other_edge in range(len(right.passes)):
-                    j = right_labels[other_edge]
-                    try:
-                        want = expected.get((i, j))
-                        if want is None:
-                            want = left_poly.shift(j) + right_poly.shift(i)
-                            expected[(i, j)] = want
-                        glued = moves.connected_sum(left, edge, right, other_edge)
-                        glued_poly = warping.warping_polynomial(glued)
-                        rec.check(
-                            "connected-sum-identity",
-                            glued_poly == want,
-                            glued,
-                            lambda: f"{left} #({edge},{other_edge}) {right}",
-                        )
-                        glued_span = glued_poly.span()
-                        rec.check(
-                            "connected-sum-span-bounds",
-                            span_floor <= glued_span <= left_span + right_span,
-                            glued,
-                            lambda: f"spans {left_span}, {right_span} -> {glued_span}",
-                        )
-                        if left_span >= right_span:
-                            equality = (
-                                left_min - right_min <= i - j <= left_max - right_max
-                            )
-                        else:
-                            equality = (
-                                right_min - left_min <= j - i <= right_max - left_max
-                            )
-                        rec.check(
-                            "connected-sum-span-equality-criterion",
-                            (glued_span == span_floor) == equality,
-                            glued,
-                            lambda: f"i {i}, j {j}",
-                        )
-                    except Exception as exc:
-                        rec.check(
-                            "no-unexpected-errors", False, left, repr(exc)
-                        )
+                    rec.guard(lambda: splice(edge, other_edge), left)
 
 
 def run_property_suite(
@@ -480,10 +482,10 @@ def run_property_suite(
     Covers the per-diagram invariants, per-crossing change predictions,
     per-edge kink identities, dealternating bounds, recognition soundness,
     and the connected-sum identities over pairs with at most
-    ``min(pair_max_crossings, max_crossings)`` crossings each.
+    ``min(pair_max_crossings, max_crossings)`` crossings each.  Bounds as
+    in :func:`almost_alternating_scan`.
     """
-    if max_crossings > ENUMERATION_BOUND:
-        raise BoundExceededError(f"max_crossings {max_crossings} above bound")
+    _check_sweep_bound(max_crossings)
     rec = _Recorder()
     diagrams = 0
     for c in range(0, max_crossings + 1):

@@ -207,3 +207,20 @@ def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:
     if sum(m) < k + l:
         return Rejection(REJECT_SUM_TOO_SMALL, f"sum {sum(m)} < {k + l}")
     return CharForm(k, tuple(m))
+
+
+def closure_components(n: int, letters) -> int:
+    """Components of a braid closure, by tracing every one of the n strands."""
+    positions = list(range(n))
+    for w in letters:
+        a = abs(w)
+        positions[a - 1], positions[a] = positions[a], positions[a - 1]
+    cycles, seen = 0, set()
+    for start in range(n):
+        p = start
+        if p not in seen:
+            cycles += 1
+        while p not in seen:
+            seen.add(p)
+            p = positions[p]
+    return cycles

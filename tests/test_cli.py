@@ -320,3 +320,16 @@ def test_output_pinned(capsys, argv, exit_code, out, err):
 @pytest.mark.parametrize(("argv", "exit_code"), USAGE_ERRORS)
 def test_usage_exit_code_pinned(capsys, argv, exit_code):
     assert run(capsys, *argv)[0] == exit_code
+
+
+def test_verify_negative_bound_is_an_input_error(capsys):
+    assert run(capsys, "verify", "--max-crossings", "-1") == (
+        1, "", "error: max_crossings -1 below 0\n"
+    )
+
+
+def test_braid_on_huge_strand_count_is_refused_at_once(capsys):
+    # a 9-digit strand count used to allocate per-strand state first
+    assert run(capsys, "span", "--braid", "1", "--strands", "999999999") == (
+        1, "", "error: closure has 999999998 components, not 1\n"
+    )

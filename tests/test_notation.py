@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,7 @@ from warppoly.errors import (
     ParseError,
 )
 
-from _oracles import rotation_canonicalize
+from _oracles import closure_components, rotation_canonicalize
 from _strategies import diagrams
 
 
@@ -224,6 +225,37 @@ def test_braid_closure_rejects_links():
         braid_closure(BraidWord(2, (1, 1)))
     with pytest.raises(NotAKnotError):
         braid_closure(BraidWord(3, (1,)))
+
+
+def test_braid_closure_component_count_matches_strand_trace():
+    # short words on many strands take the early refusal, the rest the
+    # full simulation; both must count components like a full trace
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 14))
+        )
+        components = closure_components(n, letters)
+        if components == 1:
+            assert braid_closure(BraidWord(n, letters)).crossing_count == len(letters)
+            continue
+        with pytest.raises(NotAKnotError) as info:
+            braid_closure(BraidWord(n, letters))
+        assert str(info.value) == f"closure has {components} components, not 1"
+
+
+def test_braid_closure_refuses_many_strands_in_small_memory():
+    word = parse_braid("1 -2", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAKnotError) as info:
+            braid_closure(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "closure has 999998 components, not 1"
+    assert peak < 1 << 20
 
 
 def test_braid_closure_negative_word_mirrors():

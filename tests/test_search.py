@@ -17,6 +17,7 @@ from warppoly import (
     warping_polynomial,
 )
 from warppoly import moves, warping
+from warppoly.search import ENUMERATION_BOUND
 from warppoly.errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -162,6 +163,18 @@ def test_property_suite_small():
 def test_property_suite_bound():
     with pytest.raises(BoundExceededError):
         run_property_suite(9)
+
+
+@pytest.mark.parametrize("suite", [run_property_suite, almost_alternating_scan])
+def test_sweep_bounds(suite):
+    with pytest.raises(ValueError) as info:
+        suite(-1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "max_crossings -1 below 0"
+    with pytest.raises(BoundExceededError) as info:
+        suite(ENUMERATION_BOUND + 1)
+    assert str(info.value) == f"max_crossings {ENUMERATION_BOUND + 1} above bound"
+    assert suite(0).ok
 
 
 def test_property_suite_report_json_stable():
