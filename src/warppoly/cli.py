@@ -60,9 +60,9 @@ def _accepted_form(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # The library is looked up here, on every call, never in a module-level
-    # table: wrappers installed on module attributes after import (tracers,
-    # monkeypatched tests) must see every call.
+    # Actions look the library up when they run, not when they are
+    # registered: wrappers installed on module attributes after import
+    # (tracers, monkeypatched tests) must see every call.
     parser = argparse.ArgumentParser(
         prog="warp",
         description="Warping degree labelings, warping polynomials, and spans "
@@ -116,14 +116,15 @@ def _build_parser() -> argparse.ArgumentParser:
         _emit(args, {"labels": list(labels)}, " ".join(map(str, labels)))
 
     command("label", "warping degree of every edge", label)
-    query("span", "max minus min warping degree", warping.diagram_span)
-    query("degree", "warping degree d(D)", warping.warping_degree)
-    query("monotone", "whether d(D) = 0", warping.is_monotone)
-    query("alternating", "whether over/under strictly alternate", GaussDiagram.is_alternating)
-    query("onebridge", "whether the code is a rotation of O^c U^c", GaussDiagram.is_one_bridge)
+    query("span", "max minus min warping degree", lambda d: warping.diagram_span(d))
+    query("degree", "warping degree d(D)", lambda d: warping.warping_degree(d))
+    query("monotone", "whether d(D) = 0", lambda d: warping.is_monotone(d))
+    query("alternating", "whether over/under strictly alternate", lambda d: d.is_alternating())
+    query("onebridge", "whether the code is a rotation of O^c U^c", lambda d: d.is_one_bridge())
     transform("mirror", "swap over/under everywhere", lambda args, d: d.mirror())
     transform("reverse", "reverse the orientation", lambda args, d: d.reverse())
-    query("dalt", "dealternating number by position parity", search.dealternating_number)
+    query("dalt", "dealternating number by position parity",
+          lambda d: search.dealternating_number(d))
 
     p = transform("cc", "change one crossing", lambda args, d: d.crossing_change(args.crossing))
     p.add_argument("--crossing", type=int, required=True)

@@ -167,14 +167,13 @@ def braid_closure(word: BraidWord) -> GaussDiagram:
     Strands are simulated through the word; the letter at step ``s``
     creates crossing id ``s``.  The closure is traversed starting with the
     strand that begins at position 1, and each strand's recorded passes
-    are concatenated.  Signs follow the letters' signs.  A word on more
-    than ``len(letters) + 1`` strands is refused at once, in time linear in
-    its letters: its closure leaves some strand uncrossed.
+    are concatenated.  Signs follow the letters' signs.  A single cycle on
+    ``n`` strands needs at least ``n - 1`` letters, so a word on more
+    strands is refused at once, in time linear in its letters.
     """
     n = word.n
     if n > len(word.letters) + 1:
-        # a single cycle on n strands needs at least n - 1 letters; count the
-        # components from the touched positions alone, since n may be huge
+        # count components from the touched positions alone: n may be huge
         at: dict[int, int] = {}  # touched position -> id of strand there
         for w in word.letters:
             a = abs(w)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from warppoly import warping
+from warppoly import search, warping
 from warppoly.cli import main
 
 TREFOIL = "O1 U2 O3 U1 O2 U3"
@@ -146,6 +146,15 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(warping, "labeling", corrupted)
     code, out, _ = run(capsys, "verify", "--max-crossings", "1")
     assert code == 2
+
+
+def test_actions_call_through_module_attributes(capsys, monkeypatch):
+    # tracers wrap library functions on their modules after import, so the
+    # CLI must look them up at call time
+    monkeypatch.setattr(search, "dealternating_number", lambda d: 42)
+    monkeypatch.setattr(warping, "diagram_span", lambda d: 7)
+    assert run(capsys, "dalt", TREFOIL) == (0, "42\n", "")
+    assert run(capsys, "span", TREFOIL) == (0, "7\n", "")
 
 
 def test_canonical_flag(capsys):
