@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,10 @@ def test_worked_examples_runs():
     proc = _run(str(ROOT / "scripts" / "worked_examples.py"))
     assert proc.returncode == 0, proc.stderr
     assert "recognition and realization:" in proc.stdout
+    # the whole text, pinned byte for byte (it does not depend on hash seeds)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "c3491c459e4ebfbf3f8f1b00d8337f41c9308651774e8bc6566d687ef7589757"
+    )
 
 
 def test_run_verification_refuses_negative_bound():
