@@ -25,8 +25,6 @@ def _insert(diagram: GaussDiagram, edge: int, first: str) -> GaussDiagram:
     second = UNDER if first == OVER else OVER
     kink = (Pass(fresh, first), Pass(fresh, second))
     passes = diagram.passes
-    if not passes:
-        return GaussDiagram._trusted(kink)
     return GaussDiagram._trusted(passes[: edge + 1] + kink + passes[edge + 1 :])
 
 

@@ -138,34 +138,26 @@ def dealternating_number(diagram: GaussDiagram) -> int:
     return min(odd_overs, c - odd_overs)
 
 
-def _spiral_one_bridge(l: int) -> GaussDiagram:
-    # nested pairing O1..Ol Ul..U1: one-bridge with every pass pair at odd
-    # distance, so the output stays within evenness-passing codes
-    overs = tuple(Pass(i, OVER) for i in range(1, l + 1))
-    unders = tuple(Pass(i, UNDER) for i in range(l, 0, -1))
-    return GaussDiagram._trusted(overs + unders)
-
-
 def span_witness(c: int, s: int) -> GaussDiagram:
     """A diagram with ``c`` crossings and span ``s``, by fixed recipes.
 
-    Recipes: the empty diagram for (0, 0); a spiral one-bridge diagram for
-    ``c = s >= 1``; that diagram plus ``c - s`` over-first kinks at the
-    edge labeled 0 for ``c > s >= 2`` (each kink adds ``1 + t``, keeping
-    the degree range ``[0, s]``).  Other inputs, including ``c > s = 1``,
-    are refused even when some diagram would qualify.
+    Recipes: the empty diagram for (0, 0); the spiral one-bridge diagram
+    ``O1..Os Us..U1`` for ``c = s >= 1``; that diagram followed by the
+    curls ``Oc Uc O(c-1) U(c-1) .. O(s+1) U(s+1)`` for ``c > s >= 2``.
+    The spiral labels its edges ``1..s, s-1..0`` and each curl adds
+    ``1 + t``, so the degree range stays ``[0, s]``; this is exactly
+    ``c - s`` over-first kinks, each at the lowest edge labeled 0.  Built
+    in one pass, O(c).  Other inputs, including ``c > s = 1``, are
+    refused even when some diagram would qualify.
     """
-    if c == 0 and s == 0:
-        return GaussDiagram(())
-    if c == s and s >= 1:
-        return _spiral_one_bridge(s)
-    if c > s >= 2:
-        diagram = _spiral_one_bridge(s)
-        for _ in range(c - s):
-            edge = moves.find_edge_with_label(diagram, 0)
-            diagram = moves.insert_kink_over_first(diagram, edge)
-        return diagram
-    raise NotConstructibleError(f"no recipe for c={c}, span={s}")
+    if not (c == s >= 0 or c > s >= 2):
+        raise NotConstructibleError(f"no recipe for c={c}, span={s}")
+    # nested pairing: every pass pair lies an odd distance apart, so the
+    # output stays within evenness-passing codes
+    spiral = [Pass(i, OVER) for i in range(1, s + 1)]
+    spiral += [Pass(i, UNDER) for i in range(s, 0, -1)]
+    curls = [Pass(i, strand) for i in range(c, s, -1) for strand in (OVER, UNDER)]
+    return GaussDiagram._trusted(tuple(spiral + curls))
 
 
 def _check_sweep_bound(max_crossings: int) -> None:
@@ -277,17 +269,6 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
         diagram,
         lambda: f"W={poly}",
     )
-    if c >= 1:
-        rec.check("value-at-one", poly(1) == 2 * c, diagram, lambda: f"W(1)={poly(1)}")
-        rec.check("root-at-minus-one", poly(-1) == 0, diagram, lambda: f"W(-1)={poly(-1)}")
-        odd = sum(co for deg, co in poly.terms if deg % 2)
-        even = sum(co for deg, co in poly.terms if deg % 2 == 0)
-        rec.check(
-            "odd-even-coefficient-sums",
-            odd == even == c,
-            diagram,
-            lambda: f"odd {odd}, even {even}",
-        )
     rec.check("gap-free", poly.gap_free(), diagram, lambda: f"W={poly}")
     rec.check(
         "lower-degree-is-warping-degree",
@@ -307,33 +288,6 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
         diagram,
         "",
     )
-    if c >= 1:
-        alternating = diagram.is_alternating()
-        rec.check(
-            "alternating-iff-span-one",
-            alternating == (span == 1),
-            diagram,
-            lambda: f"span {span}",
-        )
-        if alternating:
-            rec.check(
-                "alternating-polynomial-form",
-                poly.as_dict() == {d: c, d + 1: c},
-                diagram,
-                lambda: f"W={poly}",
-            )
-        rec.check(
-            "degree-sum-bound",
-            d + d_rev + 1 <= c,
-            diagram,
-            lambda: f"d {d}, d_rev {d_rev}",
-        )
-        rec.check(
-            "degree-sum-equality-iff-alternating",
-            (d + d_rev + 1 == c) == alternating,
-            diagram,
-            lambda: f"d {d}, d_rev {d_rev}",
-        )
     rec.check(
         "recognition-soundness",
         isinstance(characterize.recognize(poly), characterize.CharForm),
@@ -345,6 +299,47 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
         warping.is_monotone(diagram) == (poly(0) != 0),
         diagram,
         lambda: f"W={poly}",
+    )
+    # the rest presupposes a crossing: the zero-crossing diagram's
+    # conventional single edge degenerates the kink identities
+    if c == 0:
+        return
+
+    rec.check("value-at-one", poly(1) == 2 * c, diagram, lambda: f"W(1)={poly(1)}")
+    rec.check("root-at-minus-one", poly(-1) == 0, diagram, lambda: f"W(-1)={poly(-1)}")
+    odd_sum = sum(co for deg, co in poly.terms if deg % 2)
+    even_sum = sum(co for deg, co in poly.terms if deg % 2 == 0)
+    rec.check(
+        "odd-even-coefficient-sums",
+        odd_sum == even_sum == c,
+        diagram,
+        lambda: f"odd {odd_sum}, even {even_sum}",
+    )
+    alternating = diagram.is_alternating()
+    rec.check(
+        "alternating-iff-span-one",
+        alternating == (span == 1),
+        diagram,
+        lambda: f"span {span}",
+    )
+    if alternating:
+        rec.check(
+            "alternating-polynomial-form",
+            poly.as_dict() == {d: c, d + 1: c},
+            diagram,
+            lambda: f"W={poly}",
+        )
+    rec.check(
+        "degree-sum-bound",
+        d + d_rev + 1 <= c,
+        diagram,
+        lambda: f"d {d}, d_rev {d_rev}",
+    )
+    rec.check(
+        "degree-sum-equality-iff-alternating",
+        (d + d_rev + 1 == c) == alternating,
+        diagram,
+        lambda: f"d {d}, d_rev {d_rev}",
     )
 
     for x in sorted(diagram.crossing_ids()):
@@ -366,58 +361,54 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
             lambda: f"crossing {x}",
         )
 
-    # the kink identities presuppose an edge bounded by crossings; the
-    # zero-crossing diagram's conventional single edge degenerates them
-    if c >= 1:
-        even = diagram.evenness_lint()
-        shifted = poly.shift(1)
-        bumps = {
-            i: WarpPoly(((i, 1), (i + 1, 1)))  # t^i (1 + t)
-            for i in set(labels)
-        }
-        over_expect = {i: poly + bump for i, bump in bumps.items()}
-        under_expect = {i: shifted + bump for i, bump in bumps.items()}
-        for edge, i in enumerate(labels):
-            over = moves.insert_kink_over_first(diagram, edge)
-            rec.check(
-                "kink-over-first-identity",
-                warping.warping_polynomial(over) == over_expect[i],
-                diagram,
-                lambda: f"edge {edge}",
-            )
-            under = moves.insert_kink_under_first(diagram, edge)
-            rec.check(
-                "kink-under-first-identity",
-                warping.warping_polynomial(under) == under_expect[i],
-                diagram,
-                lambda: f"edge {edge}",
-            )
-            if even:
-                rec.check(
-                    "kink-preserves-evenness",
-                    over.evenness_lint() and under.evenness_lint(),
-                    diagram,
-                    lambda: f"edge {edge}",
-                )
-
-    if c >= 1:
-        try:
-            dalt = dealternating_number(diagram)
-        except NotAlternatableError:
-            dalt = None
+    even = diagram.evenness_lint()
+    shifted = poly.shift(1)
+    bumps = {
+        i: WarpPoly(((i, 1), (i + 1, 1)))  # t^i (1 + t)
+        for i in set(labels)
+    }
+    over_expect = {i: poly + bump for i, bump in bumps.items()}
+    under_expect = {i: shifted + bump for i, bump in bumps.items()}
+    for edge, i in enumerate(labels):
+        over = moves.insert_kink_over_first(diagram, edge)
         rec.check(
-            "dealternating-reachable-iff-evenness",
-            (dalt is not None) == even,
+            "kink-over-first-identity",
+            warping.warping_polynomial(over) == over_expect[i],
             diagram,
-            "",
+            lambda: f"edge {edge}",
         )
-        if dalt is not None:
+        under = moves.insert_kink_under_first(diagram, edge)
+        rec.check(
+            "kink-under-first-identity",
+            warping.warping_polynomial(under) == under_expect[i],
+            diagram,
+            lambda: f"edge {edge}",
+        )
+        if even:
             rec.check(
-                "dealternating-sandwich",
-                (span - 1) / 2 <= dalt <= c // 2,
+                "kink-preserves-evenness",
+                over.evenness_lint() and under.evenness_lint(),
                 diagram,
-                lambda: f"span {span}, dalt {dalt}",
+                lambda: f"edge {edge}",
             )
+
+    try:
+        dalt = dealternating_number(diagram)
+    except NotAlternatableError:
+        dalt = None
+    rec.check(
+        "dealternating-reachable-iff-evenness",
+        (dalt is not None) == even,
+        diagram,
+        "",
+    )
+    if dalt is not None:
+        rec.check(
+            "dealternating-sandwich",
+            (span - 1) / 2 <= dalt <= c // 2,
+            diagram,
+            lambda: f"span {span}, dalt {dalt}",
+        )
 
 
 def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:

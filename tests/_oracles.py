@@ -8,7 +8,7 @@ replaced library algorithm as a differential reference.
 
 from itertools import combinations
 
-from warppoly import GaussDiagram, Pass, WarpPoly
+from warppoly import GaussDiagram, Pass, WarpPoly, moves
 from warppoly.characterize import (
     REJECT_BAD_ENDS,
     REJECT_GAP,
@@ -18,6 +18,7 @@ from warppoly.characterize import (
     CharForm,
     Rejection,
 )
+from warppoly.errors import NotConstructibleError
 
 
 def brute_degree(diagram: GaussDiagram, edge: int) -> int:
@@ -224,3 +225,21 @@ def closure_components(n: int, letters) -> int:
             seen.add(p)
             p = positions[p]
     return cycles
+
+
+def kink_loop_span_witness(c: int, s: int) -> GaussDiagram:
+    """Span witness built one over-first kink at a time, relabeling after
+    each to find the lowest edge labeled 0: the O(c^2) predecessor of
+    :func:`warppoly.span_witness`."""
+    if c == 0 and s == 0:
+        return GaussDiagram(())
+    if not (c == s >= 1 or c > s >= 2):
+        raise NotConstructibleError(f"no recipe for c={c}, span={s}")
+    diagram = GaussDiagram(
+        tuple(Pass(i, "O") for i in range(1, s + 1))
+        + tuple(Pass(i, "U") for i in range(s, 0, -1))
+    )
+    for _ in range(c - s):
+        edge = moves.find_edge_with_label(diagram, 0)
+        diagram = moves.insert_kink_over_first(diagram, edge)
+    return diagram

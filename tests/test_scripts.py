@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import os
 import subprocess
@@ -47,3 +48,14 @@ def test_cli_exit_codes_reach_the_shell():
     assert proc.stderr.startswith("error:")
     proc = _run("-m", "warppoly.cli", "witness", "t+t^2")
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "Reject: SumTooSmall\n", "")
+
+
+def test_readme_library_example():
+    # only the python block: a whole-file doctest would read the closing
+    # fence as expected output
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False) == doctest.TestResults(0, 11)

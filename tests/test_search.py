@@ -24,7 +24,12 @@ from warppoly.errors import (
     ZeroCrossingsError,
 )
 
-from _oracles import code_count, phase_dealternating, subset_dealternating
+from _oracles import (
+    code_count,
+    kink_loop_span_witness,
+    phase_dealternating,
+    subset_dealternating,
+)
 
 
 def test_enumeration_counts():
@@ -119,6 +124,52 @@ def test_span_witness_not_constructible():
     for c, s in ((3, 1), (2, 3), (1, 0), (0, 2)):
         with pytest.raises(NotConstructibleError):
             span_witness(c, s)
+
+
+def test_span_witness_matches_kink_loop():
+    for c in range(0, 41):
+        for s in range(0, 41):
+            try:
+                expected = kink_loop_span_witness(c, s)
+            except NotConstructibleError as err:
+                with pytest.raises(NotConstructibleError) as got:
+                    span_witness(c, s)
+                assert str(got.value) == str(err)
+            else:
+                assert span_witness(c, s) == expected
+
+
+def test_span_witness_builds_without_labeling_or_kinks(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(warping, "labeling")
+    for name in (
+        "labeling",
+        "find_edge_with_label",
+        "insert_kink_over_first",
+        "insert_kink_under_first",
+    ):
+        counted(moves, name)
+    assert span_witness(60, 5).crossing_count == 60
+    assert calls == {}
+
+
+def test_span_witness_at_scale():
+    c = 10**5
+    d = span_witness(c, 2)
+    assert d.crossing_count == c
+    assert diagram_span(d) == 2
+    assert d.evenness_lint()
+    assert dealternating_number(d) == 1
 
 
 def test_almost_alternating_scan_trefoil_detail():
