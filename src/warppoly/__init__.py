@@ -10,7 +10,7 @@ from .characterize import (
     recognize,
     witness,
 )
-from .diagram import OVER, UNDER, GaussDiagram, Pass, validate
+from .diagram import OVER, UNDER, GaussDiagram, Pass
 from .laurent import WarpPoly
 from .moves import (
     connected_sum,
@@ -22,8 +22,6 @@ from .notation import (
     BraidWord,
     braid_closure,
     canonicalize,
-    format_gauss,
-    format_poly,
     parse_braid,
     parse_gauss,
     parse_poly,
@@ -73,8 +71,6 @@ __all__ = [
     "enumerate_diagrams",
     "fg_decomposition",
     "find_edge_with_label",
-    "format_gauss",
-    "format_poly",
     "insert_kink_over_first",
     "insert_kink_under_first",
     "is_monotone",
@@ -89,7 +85,6 @@ __all__ = [
     "recognize",
     "run_property_suite",
     "span_witness",
-    "validate",
     "warping_degree",
     "warping_polynomial",
     "witness",

@@ -45,8 +45,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _emit_diagram(args, diagram: GaussDiagram) -> None:
-    code = notation.format_gauss(diagram, canonical=args.canonical)
-    poly = notation.format_poly(warping.warping_polynomial(diagram))
+    code = str(notation.canonicalize(diagram) if args.canonical else diagram)
+    poly = str(warping.warping_polynomial(diagram))
     _emit(args, {"code": code, "poly": poly}, f"{code}\n{poly}")
 
 
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return command(name, help_text, lambda args, d: _emit_diagram(args, move(args, d)))
 
     def poly(args, diagram):
-        text = notation.format_poly(warping.warping_polynomial(diagram))
+        text = str(warping.warping_polynomial(diagram))
         _emit(args, {"poly": text}, text)
 
     command("poly", "warping polynomial", poly)
@@ -142,11 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def fg(args, diagram):
         f, g = warping.fg_decomposition(diagram, args.crossing)
         predicted = warping.predict_crossing_change(diagram, args.crossing)
-        polys = {
-            "f": notation.format_poly(f),
-            "g": notation.format_poly(g),
-            "predicted": notation.format_poly(predicted),
-        }
+        polys = {"f": str(f), "g": str(g), "predicted": str(predicted)}
         _emit(args, polys, "\n".join(f"{k}: {v}" for k, v in polys.items()))
 
     p = command("fg", "split W at a crossing and predict its change", fg)

@@ -16,7 +16,7 @@ callers that care.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     EdgeOutOfRangeError,
@@ -157,11 +157,10 @@ class GaussDiagram:
 
     def crossing_change(self, crossing: int) -> "GaussDiagram":
         """Swap the over/under strands (and sign) at one crossing."""
-        if crossing not in {p.crossing for p in self.passes}:
-            raise UnknownCrossingError(f"no crossing {crossing} in diagram")
-        return GaussDiagram._trusted(
-            tuple(p.flipped() if p.crossing == crossing else p for p in self.passes)
-        )
+        passes = list(self.passes)
+        for i in self.positions_of(crossing):
+            passes[i] = passes[i].flipped()
+        return GaussDiagram._trusted(tuple(passes))
 
     def evenness_lint(self) -> bool:
         """Parity condition necessary for the code to be drawable on S^2.
@@ -192,19 +191,12 @@ class GaussDiagram:
 def _renumbered(passes: tuple[Pass, ...], start: int, last_id: int) -> tuple[Pass, ...]:
     # the rotation of passes starting at start, crossing ids renumbered
     # last_id + 1, last_id + 2, ... by first appearance
-    n = len(passes)
     fresh = last_id
     remap: dict[int, int] = {}
     out = []
-    for k in range(n):
-        p = passes[(start + k) % n]
+    for p in passes[start:] + passes[:start]:
         if p.crossing not in remap:
             fresh += 1
             remap[p.crossing] = fresh
         out.append(Pass(remap[p.crossing], p.strand, p.sign))
     return tuple(out)
-
-
-def validate(raw: Iterable[Pass]) -> GaussDiagram:
-    """Build a diagram from a raw pass sequence, checking all invariants."""
-    return GaussDiagram(tuple(raw))

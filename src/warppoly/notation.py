@@ -117,13 +117,6 @@ def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
     return GaussDiagram._trusted(_renumbered(passes, _least_rotation(passes), 0))
 
 
-def format_gauss(diagram: GaussDiagram, canonical: bool = False) -> str:
-    """Render a diagram as space-joined uppercase tokens."""
-    if canonical:
-        diagram = canonicalize(diagram)
-    return str(diagram)
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A braid word: strand count and signed generator letters."""
@@ -232,7 +225,7 @@ def _parse_poly_terms(text: str) -> WarpPoly:
     terms = []
     for position, chunk in enumerate(compact.split("+"), start=1):
         match = _POLY_TERM.match(chunk)
-        if not match or not chunk:
+        if not match:
             raise ParseError(f"bad term {chunk!r}", position)
         coeff_text, t_part, exp_text = match.groups()
         if coeff_text is None and t_part is None:
@@ -261,8 +254,3 @@ def _parse_poly_list(text: str) -> WarpPoly:
         except ValueError:
             raise ParseError(f"bad coefficient {chunk!r}", position) from None
     return WarpPoly(tuple((start + j, c) for j, c in enumerate(coeffs)))
-
-
-def format_poly(poly: WarpPoly) -> str:
-    """Canonical term-form rendering, ascending degree."""
-    return str(poly)

@@ -70,7 +70,7 @@ class PropertyReport:
             "crossings_checked": list(self.crossings_checked),
             "diagrams_checked": self.diagrams_checked,
             "violations": [v.as_dict() for v in self.violations],
-            "checks_run": {k: v for k, v in self.checks_run},
+            "checks_run": self.checks(),
         }
 
     def to_json(self) -> str:

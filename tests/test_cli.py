@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from warppoly import search, warping
+from warppoly import notation, parse_gauss, search, warping
 from warppoly.cli import main
 
 TREFOIL = "O1 U2 O3 U1 O2 U3"
@@ -153,8 +153,10 @@ def test_actions_call_through_module_attributes(capsys, monkeypatch):
     # CLI must look them up at call time
     monkeypatch.setattr(search, "dealternating_number", lambda d: 42)
     monkeypatch.setattr(warping, "diagram_span", lambda d: 7)
+    monkeypatch.setattr(notation, "canonicalize", lambda d: parse_gauss("O5 U5"))
     assert run(capsys, "dalt", TREFOIL) == (0, "42\n", "")
     assert run(capsys, "span", TREFOIL) == (0, "7\n", "")
+    assert run(capsys, "--canonical", "mirror", TREFOIL)[1].startswith("O5 U5\n")
 
 
 def test_canonical_flag(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from warppoly import GaussDiagram, Pass, enumerate_diagrams, parse_gauss, validate
+from warppoly import GaussDiagram, Pass, enumerate_diagrams, parse_gauss
 from warppoly.errors import (
     EdgeOutOfRangeError,
     OddLengthError,
@@ -32,12 +32,12 @@ def test_validate_empty():
 
 def test_validate_rejects_double_over():
     with pytest.raises(PairingError):
-        validate((Pass(1, "O"), Pass(1, "O")))
+        GaussDiagram((Pass(1, "O"), Pass(1, "O")))
 
 
 def test_validate_rejects_odd_length():
     with pytest.raises(OddLengthError):
-        validate((Pass(1, "O"),))
+        GaussDiagram((Pass(1, "O"),))
 
 
 def test_validate_rejects_unpaired_id():

@@ -13,8 +13,6 @@ from warppoly import (
     canonicalize,
     diagram_span,
     enumerate_diagrams,
-    format_gauss,
-    format_poly,
     parse_braid,
     parse_gauss,
     parse_poly,
@@ -40,7 +38,7 @@ def test_parse_gauss_case_and_signs():
     d = parse_gauss("o1+ u1+")
     assert d.crossing_count == 1
     assert d.passes[0].sign == "+"
-    assert format_gauss(d) == "O1+ U1+"
+    assert str(d) == "O1+ U1+"
 
 
 def test_parse_gauss_bad_token_position():
@@ -52,14 +50,14 @@ def test_parse_gauss_bad_token_position():
 def test_format_parse_round_trip():
     for text in ("", "O1 U1", "O1 U2 O3 U1 O2 U3", "O1+ U2- O2- U1+"):
         d = parse_gauss(text)
-        assert parse_gauss(format_gauss(d)) == d
+        assert parse_gauss(str(d)) == d
 
 
 def test_canonical_examples():
-    assert format_gauss(parse_gauss("U1 O1"), canonical=True) == "O1 U1"
-    assert format_gauss(GaussDiagram(()), canonical=True) == ""
+    assert str(canonicalize(parse_gauss("U1 O1"))) == "O1 U1"
+    assert str(canonicalize(GaussDiagram(()))) == ""
     # renumbering by first appearance
-    assert format_gauss(parse_gauss("O7 U9 O9 U7"), canonical=True) == "O1 U2 O2 U1"
+    assert str(canonicalize(parse_gauss("O7 U9 O9 U7"))) == "O1 U2 O2 U1"
 
 
 def test_canonical_is_rotation_invariant():
@@ -205,9 +203,9 @@ def test_parse_braid():
 
 def test_braid_closure_trefoil():
     d = braid_closure(BraidWord(2, (1, 1, 1)))
-    assert format_gauss(d, canonical=True) == "O1+ U2+ O3+ U1+ O2+ U3+"
+    assert str(canonicalize(d)) == "O1+ U2+ O3+ U1+ O2+ U3+"
     unsigned = GaussDiagram(tuple(p._replace(sign=None) for p in d.passes))
-    assert format_gauss(unsigned, canonical=True) == "O1 U2 O3 U1 O2 U3"
+    assert str(canonicalize(unsigned)) == "O1 U2 O3 U1 O2 U3"
     assert diagram_span(d) == 1
     assert all(p.sign == "+" for p in d.passes)
 
@@ -297,15 +295,15 @@ def test_parse_poly_errors():
 
 def test_poly_round_trip():
     for text in ("1+2t+2t^2+t^3", "3t+3t^2", "1", "t", "4t^2"):
-        assert format_poly(parse_poly(text)) == text
+        assert str(parse_poly(text)) == text
 
 
 @given(diagrams(signed=True))
 def test_gauss_round_trip_on_generated_codes(d):
-    assert parse_gauss(format_gauss(d)) == d
+    assert parse_gauss(str(d)) == d
 
 
 def test_round_trip_on_enumerated_codes():
     for c in range(0, 4):
         for d in enumerate_diagrams(c):
-            assert parse_gauss(format_gauss(d)) == d
+            assert parse_gauss(str(d)) == d

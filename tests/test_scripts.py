@@ -1,5 +1,6 @@
 import doctest
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,22 @@ def test_run_verification_refuses_negative_bound():
     assert proc.stderr == "error: max_crossings -1 below 0\n"
 
 
+def test_run_verification_success(tmp_path):
+    script = str(ROOT / "scripts" / "run_verification.py")
+    proc = _run(script, "--max-crossings", "2")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert sorted(report) == ["almost_alternating_scan", "identity_suite"]
+    assert report["identity_suite"]["diagrams_checked"] == 15
+    assert report["almost_alternating_scan"]["diagrams_checked"] == 6
+    assert all(r["violations"] == [] for r in report.values())
+    assert proc.stderr.endswith("all identities hold\n")
+    out = tmp_path / "report.json"
+    proc = _run(script, "--max-crossings", "2", "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert json.loads(out.read_text()) == report
+
+
 def test_cli_exit_codes_reach_the_shell():
     # every other CLI test calls main() in process; this runs the module
     proc = _run("-m", "warppoly.cli", "poly", "O1 U2 O3 U1 O2 U3")
@@ -58,4 +75,4 @@ def test_readme_library_example():
     test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
     runner = doctest.DocTestRunner()
     runner.run(test)
-    assert runner.summarize(verbose=False) == doctest.TestResults(0, 11)
+    assert runner.summarize(verbose=False) == doctest.TestResults(0, 12)

@@ -28,7 +28,6 @@ from warppoly import (
     parse_poly,
     predict_crossing_change,
     span_witness,
-    validate,
     warping,
     warping_polynomial,
 )
@@ -174,7 +173,7 @@ def test_outside_codes_still_validated(text, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         GaussDiagram(tuple(passes))
     with pytest.raises(error, match=f"^{message}$"):
-        validate(passes)
+        GaussDiagram(passes)
 
 
 @pytest.mark.parametrize("text, error, message", BAD_CODES)
