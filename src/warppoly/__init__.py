@@ -41,7 +41,6 @@ from .warping import (
     fg_decomposition,
     is_monotone,
     labeling,
-    max_degree,
     predict_crossing_change,
     warping_degree,
     warping_polynomial,
@@ -75,7 +74,6 @@ __all__ = [
     "insert_kink_under_first",
     "is_monotone",
     "labeling",
-    "max_degree",
     "one_bridge_diagram",
     "one_bridge_polynomial",
     "parse_braid",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import OVER, UNDER, GaussDiagram, Pass
-from .errors import VerificationFailedError
+from .errors import BoundExceededError, VerificationFailedError
 from .laurent import WarpPoly
 from .moves import find_edge_with_label, insert_kink_over_first, insert_kink_under_first
 from .warping import warping_polynomial
@@ -32,6 +32,9 @@ REJECT_GAP = "GapInCoefficients"
 REJECT_BAD_ENDS = "BadEnds"
 REJECT_SUM_TOO_SMALL = "SumTooSmall"
 REJECT_NON_UNIT_SPAN_ZERO = "NonUnitSpanZero"
+
+# largest crossing count, sum(m), that witness will build
+WITNESS_BOUND = 10**5
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class CharForm:
             raise ValueError("every m_i must be >= 1")
         if sum(self.m) < self.k + len(self.m):
             raise ValueError("sum of m_i must be >= k + l")
-        if not self.m and self.k != 0:
-            raise ValueError("l = 0 forces k = 0")
 
     @property
     def l(self) -> int:
@@ -140,8 +141,13 @@ def witness(form: CharForm) -> GaussDiagram:
     ``m_i''`` over-first kinks at the lowest edge labeled ``k + i``.
 
     The output is re-verified against the encoded polynomial; a mismatch
-    is an internal bug, not bad input.
+    is an internal bug, not bad input.  A form whose output would have
+    more than ``WITNESS_BOUND`` crossings (``sum(m)``) is refused with
+    :class:`BoundExceededError` before anything is built.
     """
+    n = sum(form.m)  # the output's crossing count
+    if n > WITNESS_BOUND:
+        raise BoundExceededError(f"witness of {n} crossings above bound {WITNESS_BOUND}")
     if form.l == 0:
         return GaussDiagram(())
     remaining = form.k

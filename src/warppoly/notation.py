@@ -112,8 +112,6 @@ def _least_rotation(passes) -> int:
 def canonicalize(diagram: GaussDiagram) -> GaussDiagram:
     """First-appearance renumbering over the lexicographically least rotation."""
     passes = diagram.passes
-    if not passes:
-        return diagram
     return GaussDiagram._trusted(_renumbered(passes, _least_rotation(passes), 0))
 
 

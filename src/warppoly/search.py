@@ -1,10 +1,13 @@
-"""Exhaustive small-diagram oracles.
+"""Exhaustive small-diagram oracles, and two closed-form constructions.
 
 Everything the rest of the package claims universally is re-checked here
 by brute force: :func:`enumerate_diagrams` walks every double-occurrence
-code of a given crossing number, and :func:`run_property_suite` evaluates
-every identity on every one of them, reporting violations instead of
-raising so that a broken build produces a readable artifact.
+code of a given crossing number, and :func:`run_property_suite` and
+:func:`almost_alternating_scan` evaluate their identities on every one of
+them, reporting violations instead of raising so that a broken build
+produces a readable artifact.  Two functions here are not brute force:
+:func:`dealternating_number` is an O(c) position-parity rule, and
+:func:`span_witness` writes its diagram in closed form, in O(c).
 
 Enumeration covers all codes, including those failing the evenness
 parity condition (not drawable on the sphere); all polynomial identities
@@ -103,9 +106,6 @@ def enumerate_diagrams(c: int) -> Iterator[GaussDiagram]:
         raise BoundExceededError(
             f"enumeration of c={c} above bound {ENUMERATION_BOUND}"
         )
-    if c == 0:
-        yield GaussDiagram(())
-        return
     for matching in _matchings(tuple(range(2 * c))):
         for markers in product((OVER, UNDER), repeat=c):
             passes = [None] * (2 * c)
@@ -160,13 +160,6 @@ def span_witness(c: int, s: int) -> GaussDiagram:
     return GaussDiagram._trusted(tuple(spiral + curls))
 
 
-def _check_sweep_bound(max_crossings: int) -> None:
-    if max_crossings < 0:
-        raise ValueError(f"max_crossings {max_crossings} below 0")
-    if max_crossings > ENUMERATION_BOUND:
-        raise BoundExceededError(f"max_crossings {max_crossings} above bound")
-
-
 class _Recorder:
     def __init__(self):
         self.violations: list[Violation] = []
@@ -199,6 +192,24 @@ class _Recorder:
         )
 
 
+def _sweep(max_crossings: int, check, keep=None) -> tuple[_Recorder, int]:
+    # the one enumeration loop of every sweep: runs check(rec, diagram)
+    # under rec.guard on each code with at most max_crossings crossings
+    # that keep accepts; returns the recorder and the number checked
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings {max_crossings} below 0")
+    if max_crossings > ENUMERATION_BOUND:
+        raise BoundExceededError(f"max_crossings {max_crossings} above bound")
+    rec = _Recorder()
+    diagrams = 0
+    for c in range(max_crossings + 1):
+        for diagram in enumerate_diagrams(c):
+            if keep is None or keep(diagram):
+                diagrams += 1
+                rec.guard(check, diagram, rec, diagram)
+    return rec, diagrams
+
+
 def almost_alternating_scan(max_crossings: int) -> PropertyReport:
     """Check the span dichotomy for single crossing changes of alternating codes.
 
@@ -210,15 +221,10 @@ def almost_alternating_scan(max_crossings: int) -> PropertyReport:
     ``ValueError`` below 0 and :class:`BoundExceededError` above
     ``ENUMERATION_BOUND``.
     """
-    _check_sweep_bound(max_crossings)
-    rec = _Recorder()
-    diagrams = 0
-    for c in range(1, max_crossings + 1):
-        for diagram in enumerate_diagrams(c):
-            if not diagram.is_alternating():
-                continue
-            diagrams += 1
-            rec.guard(_scan_alternating_changes, diagram, rec, diagram)
+    # is_alternating is false at c = 0, so the scan starts at c = 1
+    rec, diagrams = _sweep(
+        max_crossings, _scan_alternating_changes, GaussDiagram.is_alternating
+    )
     return rec.report((1, max_crossings), diagrams)
 
 
@@ -477,12 +483,6 @@ def run_property_suite(
     ``min(pair_max_crossings, max_crossings)`` crossings each.  Bounds as
     in :func:`almost_alternating_scan`.
     """
-    _check_sweep_bound(max_crossings)
-    rec = _Recorder()
-    diagrams = 0
-    for c in range(0, max_crossings + 1):
-        for diagram in enumerate_diagrams(c):
-            diagrams += 1
-            rec.guard(_check_diagram, diagram, rec, diagram)
+    rec, diagrams = _sweep(max_crossings, _check_diagram)
     _check_connected_sums(rec, min(pair_max_crossings, max_crossings))
     return rec.report((0, max_crossings), diagrams)

@@ -75,11 +75,6 @@ def warping_degree(diagram: GaussDiagram) -> int:
     return min(labeling(diagram))
 
 
-def max_degree(diagram: GaussDiagram) -> int:
-    """Maximal warping degree over all base points."""
-    return max(labeling(diagram))
-
-
 def diagram_span(diagram: GaussDiagram) -> int:
     """Difference between maximal and minimal warping degree."""
     labels = labeling(diagram)

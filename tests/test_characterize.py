@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -7,8 +8,10 @@ from warppoly import (
     CharForm,
     Rejection,
     WarpPoly,
+    characterize,
     encode_form,
     enumerate_diagrams,
+    moves,
     one_bridge_diagram,
     one_bridge_polynomial,
     parse_poly,
@@ -23,6 +26,8 @@ from warppoly.characterize import (
     REJECT_SUM_TOO_SMALL,
     REJECT_ZERO,
 )
+from warppoly.cli import main
+from warppoly.errors import BoundExceededError, VerificationFailedError
 
 from _oracles import scan_recognize, staircase_forms
 from _strategies import char_forms, diagrams
@@ -104,7 +109,7 @@ def test_char_form_validation():
     with pytest.raises(ValueError):
         CharForm(2, (1,))  # sum 1 < k + l = 3
     with pytest.raises(ValueError):
-        CharForm(1, ())  # l = 0 forces k = 0
+        CharForm(1, ())  # l = 0 forces k = 0: sum 0 < k + l = 1
 
 
 def test_encode_form_examples():
@@ -129,6 +134,38 @@ def test_witness_crossing_count_is_coefficient_sum():
     # each m_i contributes one one-bridge crossing plus m_i - 1 kinks
     for form in (CharForm(0, (2, 1)), CharForm(2, (2, 2)), CharForm(3, (4,))):
         assert witness(form).crossing_count == sum(form.m)
+
+
+def test_witness_refuses_hostile_size_in_small_memory():
+    form = recognize(parse_poly("0:1000000000000,2000000000000,1000000000000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError) as info:
+            witness(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "witness of 2000000000000 crossings above bound 100000"
+    assert peak < 1 << 20
+
+
+def test_witness_builds_up_to_its_bound(monkeypatch):
+    # a sum equal to the bound is built; one more crossing is refused
+    monkeypatch.setattr(characterize, "WITNESS_BOUND", 3)
+    assert witness(CharForm(1, (3,))).crossing_count == 3
+    with pytest.raises(BoundExceededError, match="^witness of 4 crossings above bound 3$"):
+        witness(CharForm(0, (2, 2)))
+
+
+def test_witness_self_check_catches_a_wrong_kink(monkeypatch, capsys):
+    # an internal bug: every over-first kink comes out under-first
+    monkeypatch.setattr(characterize, "insert_kink_over_first", moves.insert_kink_under_first)
+    with pytest.raises(VerificationFailedError, match="^witness produced "):
+        witness(CharForm(1, (3,)))
+    assert main(["witness", "3t+3t^2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness produced ")
 
 
 def test_recognition_sound_on_small_codes():

@@ -310,6 +310,10 @@ PINNED = [
     (['verify', '--max-crossings', '-1'], 1, '', 'error: max_crossings -1 below 0\n'),
     # refused from the letters alone, with no per-strand state
     (['span', '--braid', '1', '--strands', '999999999'], 1, '', 'error: closure has 999999998 components, not 1\n'),
+    (['poly', 'O0 U0'], 1, '', 'error: crossing ids must be positive, got 0\n'),
+    (['fg', '--crossing', '1', ''], 1, '', 'error: decomposition needs at least one crossing\n'),
+    # refused from the form alone, before any of its crossings is built
+    (['witness', '0:1000000000000,2000000000000,1000000000000'], 1, '', 'error: witness of 2000000000000 crossings above bound 100000\n'),
 ]
 
 # argparse usage errors and --help: the exit code only, since argparse's

@@ -33,6 +33,7 @@ from warppoly import (
 )
 from warppoly.cli import main
 from warppoly.errors import (
+    GaussCodeError,
     NegativeCoefficientError,
     NegativeDegreeError,
     NotAKnotError,
@@ -159,6 +160,7 @@ BAD_CODES = [
      "crossing 1 occurs 2 times over, 2 times under"),
     ("O1+ U1-", SignMismatchError, "crossing 1 carries both signs"),
     ("O1 U2+ O2- U1", SignMismatchError, "crossing 2 carries both signs"),
+    ("O0 U0", GaussCodeError, "crossing ids must be positive, got 0"),
 ]
 
 
@@ -174,6 +176,24 @@ def test_outside_codes_still_validated(text, error, message):
         GaussDiagram(tuple(passes))
     with pytest.raises(error, match=f"^{message}$"):
         GaussDiagram(passes)
+
+
+# passes no text can spell: parse_gauss refuses their tokens first, so
+# only the validating constructor sees them
+BAD_PASSES = [
+    ((Pass(1, "X"), Pass(1, "U")), "bad strand marker 'X'"),
+    ((Pass(1, "o"), Pass(1, "U")), "bad strand marker 'o'"),
+    ((Pass(1, "O", "*"), Pass(1, "U", "*")), "bad sign '*'"),
+    ((Pass(1, "O"), Pass(1, "U", "")), "bad sign ''"),
+]
+
+
+@pytest.mark.parametrize("passes, message", BAD_PASSES)
+def test_outside_passes_still_validated(passes, message):
+    for given in (passes, list(passes)):
+        with pytest.raises(GaussCodeError) as info:
+            GaussDiagram(given)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text, error, message", BAD_CODES)

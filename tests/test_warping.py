@@ -3,6 +3,7 @@ from hypothesis import given
 
 from warppoly import (
     GaussDiagram,
+    Pass,
     WarpPoly,
     degree_at_base,
     diagram_span,
@@ -10,13 +11,16 @@ from warppoly import (
     fg_decomposition,
     is_monotone,
     labeling,
-    max_degree,
     parse_gauss,
     predict_crossing_change,
     warping_degree,
     warping_polynomial,
 )
-from warppoly.errors import EdgeOutOfRangeError, UnknownCrossingError
+from warppoly.errors import (
+    EdgeOutOfRangeError,
+    InconsistentClosureError,
+    UnknownCrossingError,
+)
 
 from _oracles import brute_degree, brute_labeling
 from _strategies import diagrams
@@ -57,6 +61,13 @@ def test_degree_at_base_matches_labeling_everywhere():
                 assert degree_at_base(diagram, edge) == brute_degree(diagram, edge)
 
 
+def test_labeling_refuses_a_code_that_does_not_close():
+    # an internal bug guard: only a code built without validation reaches it
+    broken = GaussDiagram._trusted((Pass(1, "O"), Pass(1, "O")))
+    with pytest.raises(InconsistentClosureError, match="^propagation closed at 2, anchor was 0$"):
+        labeling(broken)
+
+
 def test_labeling_step_rule():
     for diagram in (TREFOIL, ONE_BRIDGE_3, parse_gauss("O1 U2 O2 U1")):
         labels = labeling(diagram)
@@ -74,13 +85,13 @@ def test_polynomial_examples():
 
 def test_degree_and_span_examples():
     assert warping_degree(TREFOIL) == 1
-    assert max_degree(TREFOIL) == 2
+    assert warping_polynomial(TREFOIL).udeg() == 2
     assert diagram_span(TREFOIL) == 1
     assert warping_degree(ONE_BRIDGE_3) == 0
-    assert max_degree(ONE_BRIDGE_3) == 3
+    assert warping_polynomial(ONE_BRIDGE_3).udeg() == 3
     assert diagram_span(ONE_BRIDGE_3) == 3
     assert warping_degree(EMPTY) == 0
-    assert max_degree(EMPTY) == 0
+    assert warping_polynomial(EMPTY).udeg() == 0
     assert diagram_span(EMPTY) == 0
 
 
