@@ -132,13 +132,15 @@ def one_bridge_polynomial(l: int) -> WarpPoly:
 def witness(form: CharForm) -> GaussDiagram:
     """Build a diagram whose warping polynomial is ``encode_form(form)``.
 
-    Deterministic recipe: split each ``m_i = m_i' + m_i'' + 1`` greedily so
-    that the ``m_i'`` sum to ``k``; start from the one-bridge diagram with
-    ``l`` crossings; apply the ``m_i'`` under-first kinks in ascending
-    ``i``, each targeting the lowest edge currently labeled ``a + i + 1``
-    (``a`` = kinks already inserted, which compensates for the global
-    degree shift each remaining under-first kink will apply); then the
-    ``m_i''`` over-first kinks at the lowest edge labeled ``k + i``.
+    Deterministic recipe: start from the one-bridge diagram with ``l``
+    crossings; in ascending ``i``, split ``m_i = m_i' + m_i'' + 1`` with
+    ``m_i'`` as large as the ``k`` under-first kinks still to go allow, and
+    apply those ``m_i'`` kinks, each targeting the lowest edge currently
+    labeled ``a + i + 1`` (``a`` = kinks already inserted, which
+    compensates for the global degree shift each remaining under-first
+    kink will apply); then the ``m_i''`` over-first kinks at the lowest
+    edge labeled ``k + i``.  The form's sum constraint guarantees that all
+    ``k`` under-first kinks fit.
 
     The output is re-verified against the encoded polynomial; a mismatch
     is an internal bug, not bad input.  A form whose output would have
@@ -150,25 +152,18 @@ def witness(form: CharForm) -> GaussDiagram:
         raise BoundExceededError(f"witness of {n} crossings above bound {WITNESS_BOUND}")
     if form.l == 0:
         return GaussDiagram(())
-    remaining = form.k
-    under_counts, over_counts = [], []
-    for mi in form.m:
-        take = min(mi - 1, remaining)
-        under_counts.append(take)
-        over_counts.append(mi - 1 - take)
-        remaining -= take
-    # the form's sum constraint guarantees the k under-first kinks fit
-    assert remaining == 0
-
     diagram = one_bridge_diagram(form.l)
     inserted = 0
-    for i in range(form.l):
-        for _ in range(under_counts[i]):
+    over_counts = []
+    for i, mi in enumerate(form.m):
+        take = min(mi - 1, form.k - inserted)
+        for _ in range(take):
             edge = find_edge_with_label(diagram, inserted + i + 1)
             diagram = insert_kink_under_first(diagram, edge)
             inserted += 1
-    for i in range(form.l):
-        for _ in range(over_counts[i]):
+        over_counts.append(mi - 1 - take)
+    for i, over in enumerate(over_counts):
+        for _ in range(over):
             edge = find_edge_with_label(diagram, form.k + i)
             diagram = insert_kink_over_first(diagram, edge)
 

@@ -128,24 +128,20 @@ class GaussDiagram:
             raise UnknownCrossingError(f"no crossing {crossing} in diagram")
         return over, under
 
+    def _marker_flips(self) -> int:
+        # cyclic count of adjacent passes whose over/under markers differ
+        passes = self.passes
+        return sum(passes[i].strand != passes[i - 1].strand for i in range(len(passes)))
+
     def is_alternating(self) -> bool:
         """Over/under markers strictly alternate; false for c = 0."""
-        n = len(self.passes)
-        if n == 0:
-            return False
-        return all(
-            self.passes[i].strand != self.passes[i - 1].strand for i in range(n)
-        )
+        return self.crossing_count >= 1 and self._marker_flips() == len(self.passes)
 
     def is_one_bridge(self) -> bool:
         """True iff the cyclic marker pattern is a rotation of O^c U^c."""
-        n = len(self.passes)
-        if n == 0:
+        if self.crossing_count == 0:
             raise ZeroCrossingsError("one-bridge test needs at least one crossing")
-        flips = sum(
-            self.passes[i].strand != self.passes[i - 1].strand for i in range(n)
-        )
-        return flips == 2
+        return self._marker_flips() == 2
 
     def mirror(self) -> "GaussDiagram":
         """Swap over/under at every crossing and negate signs."""

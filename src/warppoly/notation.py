@@ -12,7 +12,8 @@ unsigned before "+" before "-").
 Polynomials use the term grammar from :mod:`warppoly.laurent`
 (``1+2t+2t^2+t^3``) or the compact list form ``k:c0,c1,...,cl`` meaning
 coefficients ``c0..cl`` starting at degree ``k``; input containing ":"
-is read as list form.
+is read as list form.  Every ``INT`` is ASCII ``[0-9]+``, and list-form
+numbers and braid letters are ASCII ``[+-]?[0-9]+``.
 
 Braid words are given by a strand count ``n`` and nonzero letters
 ``w`` with ``1 <= |w| <= n-1``; letter ``w`` crosses strand positions
@@ -24,6 +25,7 @@ results quoted for positive words hold under the opposite convention.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
@@ -32,6 +34,7 @@ from .laurent import WarpPoly
 
 _GAUSS_TOKEN = re.compile(r"([OUou])([0-9]+)([+-])?\Z")
 _POLY_TERM = re.compile(r"([0-9]+)?(t(?:\^(-?[0-9]+))?)?\Z")
+_ASCII_INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def parse_gauss(text: str) -> GaussDiagram:
@@ -136,14 +139,32 @@ class BraidWord:
         return BraidWord(self.n, tuple(-w for w in self.letters))
 
 
-def parse_braid(text: str, strands: int) -> BraidWord:
-    """Parse space-separated signed generator indices."""
-    letters = []
-    for position, token in enumerate(text.split(), start=1):
+def _read_ints(tokens: list[str], text: str, what: str) -> list[int]:
+    """Each token of ``text`` as an integer ``[+-]?[0-9]+``, surrounding
+    whitespace allowed; the first other token raises :class:`ParseError`
+    at its position."""
+    # int() also reads "_" separators and non-ASCII digits such as "١"; on
+    # text with neither it reads exactly the rule, so only other text pays
+    # for the per-token pattern
+    read = int if text.isascii() and "_" not in text else _ascii_int
+    out = []
+    for position, token in enumerate(tokens, start=1):
         try:
-            letters.append(int(token))
+            out.append(read(token.strip()))
         except ValueError:
-            raise ParseError(f"bad braid letter {token!r}", position) from None
+            raise ParseError(f"bad {what} {token!r}", position) from None
+    return out
+
+
+def _ascii_int(token: str) -> int:
+    if not _ASCII_INT.match(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def parse_braid(text: str, strands: int) -> BraidWord:
+    """Parse space-separated signed generator indices, each ``[+-]?[0-9]+``."""
+    letters = _read_ints(text.split(), text, "braid letter")
     if not letters:
         raise ParseError("empty braid word")
     try:
@@ -155,45 +176,35 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 def braid_closure(word: BraidWord) -> GaussDiagram:
     """Gauss code of the braid closure, which must be a knot.
 
-    Strands are simulated through the word; the letter at step ``s``
-    creates crossing id ``s``.  The closure is traversed starting with the
-    strand that begins at position 1, and each strand's recorded passes
-    are concatenated.  Signs follow the letters' signs.  A single cycle on
-    ``n`` strands needs at least ``n - 1`` letters, so a word on more
-    strands is refused at once, in time linear in its letters.
+    One sparse simulation: a dict maps each position a letter touches to
+    the strand there, so time and memory are linear in the letters for
+    any strand count.  The letter at step ``s`` creates crossing id ``s``
+    and signs follow the letters' signs.  The closure's components are
+    the untouched strands plus the cycles of the touched permutation; a
+    knot has one, and is traversed from the strand that begins at
+    position 1, concatenating each strand's recorded passes.
     """
-    n = word.n
-    if n > len(word.letters) + 1:
-        # count components from the touched positions alone: n may be huge
-        at: dict[int, int] = {}  # touched position -> id of strand there
-        for w in word.letters:
-            a = abs(w)
-            at[a], at[a + 1] = at.get(a + 1, a + 1), at.get(a, a)
-        cycles = n - len(at) + _cycle_count(at)
-        raise NotAKnotError(f"closure has {cycles} components, not 1")
-    positions = list(range(1, n + 1))  # positions[p-1] = id of strand occupying p
-    recorded: dict[int, list[Pass]] = {s: [] for s in range(1, n + 1)}
+    at: dict[int, int] = {}  # touched position -> id of strand there
+    recorded: defaultdict[int, list[Pass]] = defaultdict(list)
     for step, w in enumerate(word.letters, start=1):
         a = abs(w)
-        upper, lower = positions[a - 1], positions[a]
-        sign = "+" if w > 0 else "-"
-        upper_strand = OVER if w > 0 else UNDER
-        recorded[upper].append(Pass(step, upper_strand, sign))
-        recorded[lower].append(
-            Pass(step, UNDER if upper_strand == OVER else OVER, sign)
-        )
-        positions[a - 1], positions[a] = positions[a], positions[a - 1]
-    end_position = {positions[p - 1]: p for p in range(1, n + 1)}
-
+        upper, lower = at.get(a, a), at.get(a + 1, a + 1)
+        if w > 0:
+            recorded[upper].append(Pass(step, OVER, "+"))
+            recorded[lower].append(Pass(step, UNDER, "+"))
+        else:
+            recorded[upper].append(Pass(step, UNDER, "-"))
+            recorded[lower].append(Pass(step, OVER, "-"))
+        at[a], at[a + 1] = lower, upper
+    components = word.n - len(at) + _cycle_count(at)
+    if components != 1:
+        raise NotAKnotError(f"closure has {components} components, not 1")
+    end_position = {s: p for p, s in at.items()}
     passes: list[Pass] = []
     strand = 1
-    visited = set()
-    while strand not in visited:
-        visited.add(strand)
+    for _ in range(word.n):
         passes.extend(recorded[strand])
         strand = end_position[strand]
-    if len(visited) != n:
-        raise NotAKnotError(f"closure has {_cycle_count(end_position)} components, not 1")
     return GaussDiagram._trusted(tuple(passes))
 
 
@@ -241,14 +252,6 @@ def _parse_poly_terms(text: str) -> WarpPoly:
 
 def _parse_poly_list(text: str) -> WarpPoly:
     head, _, tail = text.partition(":")
-    try:
-        start = int(head.strip())
-    except ValueError:
-        raise ParseError(f"bad list-form degree {head!r}", 1) from None
-    coeffs = []
-    for position, chunk in enumerate(tail.split(","), start=1):
-        try:
-            coeffs.append(int(chunk.strip()))
-        except ValueError:
-            raise ParseError(f"bad coefficient {chunk!r}", position) from None
+    (start,) = _read_ints([head], text, "list-form degree")
+    coeffs = _read_ints(tail.split(","), text, "coefficient")
     return WarpPoly(tuple((start + j, c) for j, c in enumerate(coeffs)))

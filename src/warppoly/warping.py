@@ -99,13 +99,9 @@ def fg_decomposition(diagram: GaussDiagram, crossing: int) -> tuple[WarpPoly, Wa
         raise ZeroCrossingsError("decomposition needs at least one crossing")
     over_pos, under_pos = diagram.positions_of(crossing)
     labels = labeling(diagram)
-    if over_pos < under_pos:
-        f_labels = labels[over_pos:under_pos]
-        g_labels = labels[under_pos:] + labels[:over_pos]
-    else:
-        f_labels = labels[over_pos:] + labels[:under_pos]
-        g_labels = labels[under_pos:over_pos]
-    return counts_to_poly(f_labels), counts_to_poly(g_labels)
+    walk = labels[over_pos:] + labels[:over_pos]
+    split = (under_pos - over_pos) % len(labels)
+    return counts_to_poly(walk[:split]), counts_to_poly(walk[split:])
 
 
 def predict_crossing_change(diagram: GaussDiagram, crossing: int) -> WarpPoly:

@@ -8,7 +8,7 @@ replaced library algorithm as a differential reference.
 
 from itertools import combinations
 
-from warppoly import GaussDiagram, Pass, WarpPoly, moves
+from warppoly import BraidWord, GaussDiagram, Pass, WarpPoly, moves
 from warppoly.characterize import (
     REJECT_BAD_ENDS,
     REJECT_GAP,
@@ -17,8 +17,11 @@ from warppoly.characterize import (
     REJECT_ZERO,
     CharForm,
     Rejection,
+    encode_form,
+    one_bridge_diagram,
 )
-from warppoly.errors import NotConstructibleError
+from warppoly.errors import NotAKnotError, NotConstructibleError, VerificationFailedError
+from warppoly.warping import warping_polynomial
 
 
 def brute_degree(diagram: GaussDiagram, edge: int) -> int:
@@ -242,4 +245,83 @@ def kink_loop_span_witness(c: int, s: int) -> GaussDiagram:
     for _ in range(c - s):
         edge = moves.find_edge_with_label(diagram, 0)
         diagram = moves.insert_kink_over_first(diagram, edge)
+    return diagram
+
+
+def _cycle_count(perm: dict[int, int]) -> int:
+    cycles, seen = 0, set()
+    for s in perm:
+        if s not in seen:
+            cycles += 1
+            while s not in seen:
+                seen.add(s)
+                s = perm[s]
+    return cycles
+
+
+def two_path_braid_closure(word: BraidWord) -> GaussDiagram:
+    """Braid closure refusing a word on more strands than letters + 1 from
+    its touched positions alone, and simulating any other word on a dense
+    list of all n positions: the two-path predecessor of
+    :func:`warppoly.braid_closure`."""
+    n = word.n
+    if n > len(word.letters) + 1:
+        at: dict[int, int] = {}
+        for w in word.letters:
+            a = abs(w)
+            at[a], at[a + 1] = at.get(a + 1, a + 1), at.get(a, a)
+        cycles = n - len(at) + _cycle_count(at)
+        raise NotAKnotError(f"closure has {cycles} components, not 1")
+    positions = list(range(1, n + 1))
+    recorded: dict[int, list[Pass]] = {s: [] for s in range(1, n + 1)}
+    for step, w in enumerate(word.letters, start=1):
+        a = abs(w)
+        upper, lower = positions[a - 1], positions[a]
+        sign = "+" if w > 0 else "-"
+        upper_strand = "O" if w > 0 else "U"
+        recorded[upper].append(Pass(step, upper_strand, sign))
+        recorded[lower].append(Pass(step, "U" if upper_strand == "O" else "O", sign))
+        positions[a - 1], positions[a] = positions[a], positions[a - 1]
+    end_position = {positions[p - 1]: p for p in range(1, n + 1)}
+    passes: list[Pass] = []
+    strand = 1
+    visited = set()
+    while strand not in visited:
+        visited.add(strand)
+        passes.extend(recorded[strand])
+        strand = end_position[strand]
+    if len(visited) != n:
+        raise NotAKnotError(f"closure has {_cycle_count(end_position)} components, not 1")
+    return GaussDiagram(tuple(passes))
+
+
+def split_first_witness(form: CharForm) -> GaussDiagram:
+    """Witness that splits every m_i into its under-first and over-first
+    kink counts before inserting any kink: the predecessor of
+    :func:`warppoly.witness`, without its size bound."""
+    if form.l == 0:
+        return GaussDiagram(())
+    remaining = form.k
+    under_counts, over_counts = [], []
+    for mi in form.m:
+        take = min(mi - 1, remaining)
+        under_counts.append(take)
+        over_counts.append(mi - 1 - take)
+        remaining -= take
+    assert remaining == 0
+    diagram = one_bridge_diagram(form.l)
+    inserted = 0
+    for i in range(form.l):
+        for _ in range(under_counts[i]):
+            edge = moves.find_edge_with_label(diagram, inserted + i + 1)
+            diagram = moves.insert_kink_under_first(diagram, edge)
+            inserted += 1
+    for i in range(form.l):
+        for _ in range(over_counts[i]):
+            edge = moves.find_edge_with_label(diagram, form.k + i)
+            diagram = moves.insert_kink_over_first(diagram, edge)
+    expected = encode_form(form)
+    actual = warping_polynomial(diagram)
+    if actual != expected:
+        raise VerificationFailedError(f"witness produced {actual}, wanted {expected}")
     return diagram

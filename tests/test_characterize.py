@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product
 
@@ -29,7 +30,7 @@ from warppoly.characterize import (
 from warppoly.cli import main
 from warppoly.errors import BoundExceededError, VerificationFailedError
 
-from _oracles import scan_recognize, staircase_forms
+from _oracles import scan_recognize, split_first_witness, staircase_forms
 from _strategies import char_forms, diagrams
 
 
@@ -166,6 +167,17 @@ def test_witness_self_check_catches_a_wrong_kink(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: witness produced ")
+
+
+def test_witness_matches_split_first_oracle():
+    forms = staircase_forms(8)
+    rng = random.Random(14)
+    for _ in range(6):
+        m = tuple(rng.randint(1, 20) for _ in range(rng.randint(5, 25)))
+        forms.append(CharForm(rng.randint(0, sum(m) - len(m)), m))
+    assert max(sum(form.m) for form in forms) >= 100
+    for form in forms:
+        assert str(witness(form)) == str(split_first_witness(form)), form
 
 
 def test_recognition_sound_on_small_codes():

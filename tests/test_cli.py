@@ -314,6 +314,12 @@ PINNED = [
     (['fg', '--crossing', '1', ''], 1, '', 'error: decomposition needs at least one crossing\n'),
     # refused from the form alone, before any of its crossings is built
     (['witness', '0:1000000000000,2000000000000,1000000000000'], 1, '', 'error: witness of 2000000000000 crossings above bound 100000\n'),
+    (['span', '--braid', '999998 -999999', '--strands', '1000000'], 1, '', 'error: closure has 999998 components, not 1\n'),
+    # integers are ASCII [+-]?[0-9]+: no "_" separators, no other digits
+    (['checkpoly', '0:1_0'], 1, '', "error: bad coefficient '1_0' (at token 1)\n"),
+    (['checkpoly', '0:\u0661,\u0661'], 1, '', "error: bad coefficient '\u0661' (at token 1)\n"),
+    (['checkpoly', '\u0661:1'], 1, '', "error: bad list-form degree '\u0661' (at token 1)\n"),
+    (['span', '--braid', '1 1_1', '--strands', '12'], 1, '', "error: bad braid letter '1_1' (at token 2)\n"),
 ]
 
 # argparse usage errors and --help: the exit code only, since argparse's

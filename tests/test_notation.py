@@ -24,7 +24,7 @@ from warppoly.errors import (
     ParseError,
 )
 
-from _oracles import closure_components, rotation_canonicalize
+from _oracles import closure_components, rotation_canonicalize, two_path_braid_closure
 from _strategies import diagrams
 
 
@@ -226,8 +226,8 @@ def test_braid_closure_rejects_links():
 
 
 def test_braid_closure_component_count_matches_strand_trace():
-    # short words on many strands take the early refusal, the rest the
-    # full simulation; both must count components like a full trace
+    # untouched strands plus the touched cycles must count components like
+    # a trace of every strand
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(2, 12)
@@ -243,17 +243,46 @@ def test_braid_closure_component_count_matches_strand_trace():
         assert str(info.value) == f"closure has {components} components, not 1"
 
 
-def test_braid_closure_refuses_many_strands_in_small_memory():
-    word = parse_braid("1 -2", 10**6)
-    tracemalloc.start()
+def _closure_or_error(word):
     try:
-        with pytest.raises(NotAKnotError) as info:
-            braid_closure(word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == "closure has 999998 components, not 1"
-    assert peak < 1 << 20
+        return str(braid_closure(word))
+    except NotAKnotError as exc:
+        return f"error: {exc}"
+
+
+def test_braid_closure_matches_two_path_oracle():
+    rng = random.Random(14)
+    words = [BraidWord(10**6, (1, -2)), BraidWord(10**6, (999998, -999999))]
+    for _ in range(1500):
+        n = rng.choice((2, 3, 4, 6, 9, 15, 40, 10**6))
+        size = rng.randint(1, min(3 * n, 60))
+        words.append(BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(size))))
+    knots = 0
+    for word in words:
+        got = _closure_or_error(word)
+        try:
+            want = str(two_path_braid_closure(word))
+            knots += 1
+        except NotAKnotError as exc:
+            want = f"error: {exc}"
+        assert got == want, word
+    assert knots >= 100
+    assert sum(len(w.letters) + 1 < w.n for w in words) >= 300
+
+
+def test_braid_closure_refuses_many_strands_in_small_memory():
+    # a short word touching only positions near n needs no per-strand state
+    for text, components in (("1 -2", 999998), ("999998 -999999", 999998)):
+        word = parse_braid(text, 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotAKnotError) as info:
+                braid_closure(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"closure has {components} components, not 1"
+        assert peak < 1 << 20
 
 
 def test_braid_closure_negative_word_mirrors():
