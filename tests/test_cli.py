@@ -320,6 +320,9 @@ PINNED = [
     (['checkpoly', '0:\u0661,\u0661'], 1, '', "error: bad coefficient '\u0661' (at token 1)\n"),
     (['checkpoly', '\u0661:1'], 1, '', "error: bad list-form degree '\u0661' (at token 1)\n"),
     (['span', '--braid', '1 1_1', '--strands', '12'], 1, '', "error: bad braid letter '1_1' (at token 2)\n"),
+    # integer options: surrounding whitespace, Unicode included, is read
+    (['cc', '--crossing', ' 1 ', TREFOIL], 0, 'U1 U2 O3 O1 O2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['span', '--braid', '1 1 1', '--strands', '2\u3000'], 0, '1\n', ''),
 ]
 
 # argparse usage errors and --help: the exit code only, since argparse's
@@ -335,6 +338,20 @@ USAGE_ERRORS = [
     (['poly', '--help'], 0),
     (['verify', '--max-crossings', 'x'], 1),
     (['poly', TREFOIL, 'extra'], 1),
+    # integer options are ASCII [+-]?[0-9]+, as in the notation
+    (['span', '--braid', '1 1 1', '--strands', '\u0662'], 1),
+    (['span', '--braid', '1 2 3 4 5 6 7 8 9', '--strands', '1_0'], 1),
+    (['span', '--braid', '1 1 1', '--strands', '\u0661'], 1),
+    (['cc', '--crossing', '\u0662', TREFOIL], 1),
+    (['cc', '--crossing', '1_0', 'O10 U10'], 1),
+    (['cc', '--crossing', '\u0661', TREFOIL], 1),
+    (['kink', '--type', '1a', '--edge', '\u0662', TREFOIL], 1),
+    (['kink', '--type', '1a', '--edge', '1_0', TREFOIL + ' O4 U4 O5 U5 O6 U6'], 1),
+    (['kink', '--type', '1a', '--edge', '\u0661', TREFOIL], 1),
+    (['connect', TREFOIL, 'O1 U1', '--edge', '\u0661', '--edge2', '0'], 1),
+    (['connect', TREFOIL, 'O1 U1', '--edge', '0', '--edge2', '\u0661'], 1),
+    (['fg', '--crossing', '\u0661', TREFOIL], 1),
+    (['verify', '--max-crossings', '\u0661'], 1),
 ]
 
 

@@ -16,7 +16,7 @@ from warppoly import (
     span_witness,
     warping_polynomial,
 )
-from warppoly import moves, warping
+from warppoly import moves, search, warping
 from warppoly.errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -28,6 +28,7 @@ from _oracles import (
     code_count,
     kink_loop_span_witness,
     phase_dealternating,
+    remap_connected_sum,
     subset_dealternating,
 )
 
@@ -293,8 +294,9 @@ def test_property_suite_records_non_package_errors(monkeypatch):
 def test_connected_sum_sweep_records_non_package_errors(monkeypatch):
     real = moves.connected_sum
 
+    # the sweep builds each pair's (0, 0) splice through connected_sum
     def broken(left, edge, right, other_edge):
-        if str(left) == "U1 O1" and (edge, other_edge) == (1, 0):
+        if str(left) == "U1 O1" and (edge, other_edge) == (0, 0):
             raise IndexError("broken splice")
         return real(left, edge, right, other_edge)
 
@@ -311,3 +313,37 @@ def test_connected_sum_sweep_records_non_package_errors(monkeypatch):
         }
     ] * 2
     assert report.checks()["connected-sum-identity"] == 14
+
+
+def test_connected_sum_sweep_matches_remap_oracle(monkeypatch):
+    # the sweep glues cached renumbered segments; every code it labels after
+    # its 14 summands must be the oracle's splice, in loop order, and
+    # connected_sum must still build one splice per pair
+    summands = [d for c in (1, 2) for d in enumerate_diagrams(c)]
+    labelled, calls = [], []
+    real_poly, real_sum = warping.warping_polynomial, moves.connected_sum
+
+    def recording_poly(diagram):
+        labelled.append(diagram)
+        return real_poly(diagram)
+
+    def counting_sum(*args):
+        calls.append(args)
+        return real_sum(*args)
+
+    monkeypatch.setattr(warping, "warping_polynomial", recording_poly)
+    monkeypatch.setattr(moves, "connected_sum", counting_sum)
+    rec = search._Recorder()
+    search._check_connected_sums(rec, 2)
+    assert rec.violations == []
+    glued = labelled[len(summands):]
+    assert len(glued) == 2704
+    assert glued == [
+        remap_connected_sum(left, edge, right, other_edge)
+        for left in summands
+        for right in summands
+        for edge in range(len(left.passes))
+        for other_edge in range(len(right.passes))
+    ]
+    assert len(calls) == 196
+    assert calls == [(left, 0, right, 0) for left in summands for right in summands]
