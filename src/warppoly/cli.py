@@ -29,13 +29,12 @@ def _int_arg(text: str) -> int:
     """argparse type of the integer options: ASCII ``[+-]?[0-9]+`` with
     surrounding whitespace, the rule of the notation's integers; other text
     gets the usage error that ``type=int`` gives."""
-    # int() also reads "_" separators and non-ASCII digits; on ASCII text
-    # without "_" it reads exactly the rule, so only other text pays for
-    # the pattern
+    # the text must pass both: int() alone also reads "_" separators and
+    # non-ASCII digits, and str.strip() alone also drops \x1c-\x1f, which
+    # int() refuses
     try:
-        if text.isascii() and "_" not in text:
-            return int(text)
-        return notation._ascii_int(text.strip())
+        notation._ascii_int(text.strip())
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

@@ -196,3 +196,11 @@ def _renumbered(passes: tuple[Pass, ...], start: int, last_id: int) -> tuple[Pas
             remap[p.crossing] = fresh
         out.append(Pass(remap[p.crossing], p.strand, p.sign))
     return tuple(out)
+
+
+def _spliced(
+    passes: tuple[Pass, ...], edge: int, segment: tuple[Pass, ...]
+) -> GaussDiagram:
+    # passes with segment inserted just after pass edge; the callers build
+    # segment with fresh crossing ids, so the result is not re-validated
+    return GaussDiagram._trusted(passes[: edge + 1] + segment + passes[edge + 1 :])

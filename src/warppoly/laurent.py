@@ -63,25 +63,11 @@ class WarpPoly:
         return poly
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "WarpPoly":
-        return cls(((degree, coeff),))
-
-    @classmethod
-    def zero(cls) -> "WarpPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "WarpPoly":
         return cls(((0, 1),))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
-
-    def coeff(self, degree: int) -> int:
-        for d, c in self.terms:
-            if d == degree:
-                return c
-        return 0
 
     @property
     def is_zero(self) -> bool:

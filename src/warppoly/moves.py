@@ -14,7 +14,7 @@ output codes are deterministic.
 
 from __future__ import annotations
 
-from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
+from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered, _spliced
 from .errors import EmptySummandError, NoSuchLabelError
 from .warping import labeling
 
@@ -23,9 +23,7 @@ def _insert(diagram: GaussDiagram, edge: int, first: str) -> GaussDiagram:
     diagram.check_edge(edge)
     fresh = diagram.max_crossing_id() + 1
     second = UNDER if first == OVER else OVER
-    kink = (Pass(fresh, first), Pass(fresh, second))
-    passes = diagram.passes
-    return GaussDiagram._trusted(passes[: edge + 1] + kink + passes[edge + 1 :])
+    return _spliced(diagram.passes, edge, (Pass(fresh, first), Pass(fresh, second)))
 
 
 def insert_kink_over_first(diagram: GaussDiagram, edge: int) -> GaussDiagram:
@@ -57,8 +55,7 @@ def connected_sum(
     diagram.check_edge(edge)
     other.check_edge(other_edge)
     segment = _renumbered(other.passes, other_edge + 1, diagram.max_crossing_id())
-    passes = diagram.passes
-    return GaussDiagram._trusted(passes[: edge + 1] + segment + passes[edge + 1 :])
+    return _spliced(diagram.passes, edge, segment)
 
 
 def find_edge_with_label(diagram: GaussDiagram, label: int) -> int:

@@ -135,9 +135,6 @@ class BraidWord:
             if w == 0 or abs(w) > self.n - 1:
                 raise ValueError(f"letter {w} outside [1, {self.n - 1}]")
 
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-w for w in self.letters))
-
 
 def _read_ints(tokens: list[str], text: str, what: str) -> list[int]:
     """Each token of ``text`` as an integer ``[+-]?[0-9]+``, surrounding

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterator
 
 from . import characterize, moves, warping
-from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered
+from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered, _spliced
 from .laurent import WarpPoly
 from .errors import (
     BoundExceededError,
@@ -251,61 +251,52 @@ def _scan_alternating_changes(rec: _Recorder, diagram: GaussDiagram) -> None:
 
 
 def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
-    c = diagram.crossing_count
+    # four check groups in a fixed order, under the code's one guard; the
+    # values they share are computed once, here
     labels = warping.labeling(diagram)
     poly = warping.warping_polynomial(diagram)
     d = min(labels)
-    d_max = max(labels)
-    span = d_max - d
-    reversed_diagram = diagram.reverse()
-    reversed_poly = warping.warping_polynomial(reversed_diagram)
+    span = max(labels) - d
+    _invariants(rec, diagram, poly, d, span)
+    # like the end of _invariants, the other groups presuppose a crossing
+    if diagram.crossing_count:
+        _crossing_changes(rec, diagram, poly, span)
+        _kinks(rec, diagram, labels, poly)
+        _dealternating_bounds(rec, diagram, span)
+
+
+def _invariants(
+    rec: _Recorder, diagram: GaussDiagram, poly: WarpPoly, d: int, span: int
+) -> None:
+    c = diagram.crossing_count
+    reversed_poly = warping.warping_polynomial(diagram.reverse())
     mirror_poly = warping.warping_polynomial(diagram.mirror())
-    d_rev = warping.warping_degree(reversed_diagram)
+    # the reverse is an enumerated code too, so its lower degree is checked
+    # against warping_degree there
+    d_rev = reversed_poly.ldeg()
+
+    def show_poly():
+        return f"W={poly}"
+
+    def show_degrees():
+        return f"d {d}, d_rev {d_rev}"
 
     reflected = poly.reflect(c)
-    rec.check(
-        "orientation-reverse-reflects",
-        reversed_poly == reflected,
-        diagram,
-        lambda: f"W={poly}",
-    )
-    rec.check(
-        "mirror-reflects",
-        mirror_poly == reflected,
-        diagram,
-        lambda: f"W={poly}",
-    )
-    rec.check("gap-free", poly.gap_free(), diagram, lambda: f"W={poly}")
-    rec.check(
-        "lower-degree-is-warping-degree",
-        poly.ldeg() == warping.warping_degree(diagram) == d,
-        diagram,
-        lambda: f"W={poly}",
-    )
-    rec.check(
-        "span-complement-identity",
-        span == c - (d + d_rev),
-        diagram,
-        lambda: f"span {span}, d {d}, d_rev {d_rev}",
-    )
-    rec.check(
-        "span-orientation-mirror-invariance",
-        span == reversed_poly.span() == mirror_poly.span(),
-        diagram,
-        "",
-    )
-    rec.check(
-        "recognition-soundness",
-        isinstance(characterize.recognize(poly), characterize.CharForm),
-        diagram,
-        lambda: f"W={poly}",
-    )
-    rec.check(
-        "monotone-iff-nonzero-constant-term",
-        warping.is_monotone(diagram) == (poly(0) != 0),
-        diagram,
-        lambda: f"W={poly}",
-    )
+    rec.check("orientation-reverse-reflects", reversed_poly == reflected, diagram,
+              show_poly)
+    rec.check("mirror-reflects", mirror_poly == reflected, diagram, show_poly)
+    rec.check("gap-free", poly.gap_free(), diagram, show_poly)
+    rec.check("lower-degree-is-warping-degree",
+              poly.ldeg() == warping.warping_degree(diagram) == d, diagram, show_poly)
+    rec.check("span-complement-identity", span == c - (d + d_rev), diagram,
+              lambda: f"span {span}, d {d}, d_rev {d_rev}")
+    rec.check("span-orientation-mirror-invariance",
+              span == reversed_poly.span() == mirror_poly.span(), diagram, "")
+    rec.check("recognition-soundness",
+              isinstance(characterize.recognize(poly), characterize.CharForm),
+              diagram, show_poly)
+    rec.check("monotone-iff-nonzero-constant-term",
+              warping.is_monotone(diagram) == (poly(0) != 0), diagram, show_poly)
     # the rest presupposes a crossing: the zero-crossing diagram's
     # conventional single edge degenerates the kink identities
     if c == 0:
@@ -315,39 +306,22 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
     rec.check("root-at-minus-one", poly(-1) == 0, diagram, lambda: f"W(-1)={poly(-1)}")
     odd_sum = sum(co for deg, co in poly.terms if deg % 2)
     even_sum = sum(co for deg, co in poly.terms if deg % 2 == 0)
-    rec.check(
-        "odd-even-coefficient-sums",
-        odd_sum == even_sum == c,
-        diagram,
-        lambda: f"odd {odd_sum}, even {even_sum}",
-    )
+    rec.check("odd-even-coefficient-sums", odd_sum == even_sum == c, diagram,
+              lambda: f"odd {odd_sum}, even {even_sum}")
     alternating = diagram.is_alternating()
-    rec.check(
-        "alternating-iff-span-one",
-        alternating == (span == 1),
-        diagram,
-        lambda: f"span {span}",
-    )
+    rec.check("alternating-iff-span-one", alternating == (span == 1), diagram,
+              lambda: f"span {span}")
     if alternating:
-        rec.check(
-            "alternating-polynomial-form",
-            poly.as_dict() == {d: c, d + 1: c},
-            diagram,
-            lambda: f"W={poly}",
-        )
-    rec.check(
-        "degree-sum-bound",
-        d + d_rev + 1 <= c,
-        diagram,
-        lambda: f"d {d}, d_rev {d_rev}",
-    )
-    rec.check(
-        "degree-sum-equality-iff-alternating",
-        (d + d_rev + 1 == c) == alternating,
-        diagram,
-        lambda: f"d {d}, d_rev {d_rev}",
-    )
+        rec.check("alternating-polynomial-form", poly.as_dict() == {d: c, d + 1: c},
+                  diagram, show_poly)
+    rec.check("degree-sum-bound", d + d_rev + 1 <= c, diagram, show_degrees)
+    rec.check("degree-sum-equality-iff-alternating",
+              (d + d_rev + 1 == c) == alternating, diagram, show_degrees)
 
+
+def _crossing_changes(
+    rec: _Recorder, diagram: GaussDiagram, poly: WarpPoly, span: int
+) -> None:
     for x in sorted(diagram.crossing_ids()):
         changed = diagram.crossing_change(x)
         changed_poly = warping.warping_polynomial(changed)
@@ -367,6 +341,10 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
             lambda: f"crossing {x}",
         )
 
+
+def _kinks(
+    rec: _Recorder, diagram: GaussDiagram, labels: tuple[int, ...], poly: WarpPoly
+) -> None:
     even = diagram.evenness_lint()
     shifted = poly.shift(1)
     bumps = {
@@ -398,20 +376,22 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
                 lambda: f"edge {edge}",
             )
 
+
+def _dealternating_bounds(rec: _Recorder, diagram: GaussDiagram, span: int) -> None:
     try:
         dalt = dealternating_number(diagram)
     except NotAlternatableError:
         dalt = None
     rec.check(
         "dealternating-reachable-iff-evenness",
-        (dalt is not None) == even,
+        (dalt is not None) == diagram.evenness_lint(),
         diagram,
         "",
     )
     if dalt is not None:
         rec.check(
             "dealternating-sandwich",
-            (span - 1) / 2 <= dalt <= c // 2,
+            (span - 1) / 2 <= dalt <= diagram.crossing_count // 2,
             diagram,
             lambda: f"span {span}, dalt {dalt}",
         )
@@ -459,11 +439,7 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
                     # exercised, and traced, by the sweep
                     glued = moves.connected_sum(left, edge, right, other_edge)
                 else:
-                    glued = GaussDiagram._trusted(
-                        left_passes[: edge + 1]
-                        + right_segments[other_edge]
-                        + left_passes[edge + 1 :]
-                    )
+                    glued = _spliced(left_passes, edge, right_segments[other_edge])
                 glued_poly = warping.warping_polynomial(glued)
                 rec.check(
                     "connected-sum-identity",

@@ -185,8 +185,12 @@ def remap_connected_sum(
 
 
 def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:
-    """Staircase recognition reading each coefficient by a linear ``coeff()``
-    scan: the O(l^2) predecessor of :func:`warppoly.recognize`."""
+    """Staircase recognition reading each coefficient through a fresh
+    ``as_dict()``: the O(l^2) predecessor of :func:`warppoly.recognize`."""
+
+    def coeff(degree):
+        return poly.as_dict().get(degree, 0)
+
     if poly.is_zero:
         return Rejection(REJECT_ZERO)
     if not poly.gap_free():
@@ -194,19 +198,19 @@ def scan_recognize(poly: WarpPoly) -> CharForm | Rejection:
     k = poly.ldeg()
     l = poly.span()
     if l == 0:
-        if k == 0 and poly.coeff(0) == 1:
+        if k == 0 and coeff(0) == 1:
             return CharForm(0, ())
         return Rejection(REJECT_NON_UNIT_SPAN_ZERO, f"span-0 polynomial is {poly}")
-    m = [poly.coeff(k)]
+    m = [coeff(k)]
     for j in range(1, l):
-        nxt = poly.coeff(k + j) - m[-1]
+        nxt = coeff(k + j) - m[-1]
         if nxt < 1:
             return Rejection(REJECT_BAD_ENDS, f"m_{j} would be {nxt}")
         m.append(nxt)
-    if poly.coeff(k + l) != m[-1]:
+    if coeff(k + l) != m[-1]:
         return Rejection(
             REJECT_BAD_ENDS,
-            f"top coefficient {poly.coeff(k + l)} != m_{l - 1} = {m[-1]}",
+            f"top coefficient {coeff(k + l)} != m_{l - 1} = {m[-1]}",
         )
     if sum(m) < k + l:
         return Rejection(REJECT_SUM_TOO_SMALL, f"sum {sum(m)} < {k + l}")

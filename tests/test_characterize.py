@@ -91,7 +91,7 @@ def test_recognize_rejects_bad_top():
 
 
 def test_recognize_rejects_zero_gap_and_span_zero():
-    assert recognize(WarpPoly.zero()) == Rejection(REJECT_ZERO)
+    assert recognize(WarpPoly(())) == Rejection(REJECT_ZERO)
     assert recognize(parse_poly("1+t^3")) == Rejection(REJECT_GAP)
     assert recognize(parse_poly("t")) == Rejection(REJECT_NON_UNIT_SPAN_ZERO)
     assert recognize(parse_poly("2")) == Rejection(REJECT_NON_UNIT_SPAN_ZERO)
@@ -223,7 +223,7 @@ def _same_answer(a, b) -> bool:
 
 
 def test_recognize_matches_scan_oracle_on_gap_free_polynomials():
-    polys = [WarpPoly.zero(), WarpPoly(((0, 1), (2, 1))), WarpPoly(((1, 2), (4, 2)))]
+    polys = [WarpPoly(()), WarpPoly(((0, 1), (2, 1))), WarpPoly(((1, 2), (4, 2)))]
     for start in range(4):
         for span in range(5):
             for coeffs in product((1, 2, 3), repeat=span + 1):

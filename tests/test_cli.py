@@ -352,6 +352,9 @@ USAGE_ERRORS = [
     (['connect', TREFOIL, 'O1 U1', '--edge', '0', '--edge2', '\u0661'], 1),
     (['fg', '--crossing', '\u0661', TREFOIL], 1),
     (['verify', '--max-crossings', '\u0661'], 1),
+    # int() refuses \x1c-\x1f around a number, whatever else surrounds it
+    (['span', '--braid', '1 1 1', '--strands', '2\x1c'], 1),
+    (['span', '--braid', '1 1 1', '--strands', '2\x1c\u3000'], 1),
 ]
 
 

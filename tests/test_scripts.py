@@ -40,6 +40,17 @@ def test_run_verification_refuses_negative_bound():
     assert proc.stderr == "error: max_crossings -1 below 0\n"
 
 
+def test_run_verification_reads_the_cli_integer_rule():
+    # int() alone would read the Arabic-Indic one and run the c <= 1 sweep
+    script = str(ROOT / "scripts" / "run_verification.py")
+    for value in ("\u0661", "1_0", "1\x1c\u3000"):
+        proc = _run(script, "--max-crossings", value)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(
+            f"error: argument --max-crossings: invalid int value: {value!r}\n"
+        )
+
+
 def test_run_verification_success(tmp_path):
     script = str(ROOT / "scripts" / "run_verification.py")
     proc = _run(script, "--max-crossings", "2")

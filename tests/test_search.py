@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,7 +18,7 @@ from warppoly import (
     span_witness,
     warping_polynomial,
 )
-from warppoly import moves, search, warping
+from warppoly import characterize, moves, search, warping
 from warppoly.errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -347,3 +349,83 @@ def test_connected_sum_sweep_matches_remap_oracle(monkeypatch):
     ]
     assert len(calls) == 196
     assert calls == [(left, 0, right, 0) for left in summands for right in summands]
+
+
+CHECK_GROUPS = ("_invariants", "_crossing_changes", "_kinks", "_dealternating_bounds")
+
+
+def test_check_groups_labelings_per_code(monkeypatch):
+    # the labelings each check group makes on one code: relabeling added to
+    # a group shows up here as a count
+    active, counts = ["_check_diagram"], Counter()
+    real_labeling = warping.labeling
+
+    def counting_labeling(diagram):
+        counts[active[-1]] += 1
+        return real_labeling(diagram)
+
+    def tracked(name, group):
+        def run(*args):
+            active.append(name)
+            try:
+                return group(*args)
+            finally:
+                active.pop()
+
+        return run
+
+    monkeypatch.setattr(warping, "labeling", counting_labeling)
+    for name in CHECK_GROUPS:
+        monkeypatch.setattr(search, name, tracked(name, getattr(search, name)))
+    for c in range(4):
+        # the code's own labeling and polynomial; the reversed and mirrored
+        # polynomials, warping_degree and is_monotone; per crossing the
+        # changed polynomial, fg_decomposition and its prediction; per edge
+        # both kinks' polynomials
+        want = {"_check_diagram": 2, "_invariants": 4}
+        if c:
+            want.update(_crossing_changes=3 * c, _kinks=2 * 2 * c)
+        for diagram in enumerate_diagrams(c):
+            counts.clear()
+            rec = search._Recorder()
+            search._check_diagram(rec, diagram)
+            assert rec.violations == []
+            assert dict(counts) == want, str(diagram)
+
+
+def _faulty(real, wrong):
+    # every 7th call raises, and every other 3rd returns a wrong value
+    calls = itertools.count(1)
+
+    def call(*args):
+        n = next(calls)
+        if n % 7 == 0:
+            raise RuntimeError(f"injected fault {n}")
+        out = real(*args)
+        return wrong(out) if n % 3 == 0 else out
+
+    return call
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "wrong", "sha"),
+    [
+        (characterize, "recognize", lambda form: None,
+         "eaae258cc0f76315b31bc4045def8a5796ee3625744d11ce3407db273dc779d8"),
+        (warping, "fg_decomposition", lambda fg: fg[::-1],
+         "789d59033c1a41bdb31aaba14162364249fb96c6aeccabb0d03bbf4c0d2f5371"),
+        (moves, "insert_kink_under_first", lambda kinked: kinked.reverse(),
+         "8bfc8f1bb95471530773a9ba9b3a063059e5257f5e8e98435eeae975e42b8bf3"),
+        (search, "dealternating_number", lambda dalt: dalt + 1,
+         "2365703a32579902d6d415e2c0290e6bfd43179712b6a74743ab31c28d4ba9fa"),
+    ],
+    ids=CHECK_GROUPS,
+)
+def test_check_groups_keep_report_under_faults(monkeypatch, module, name, wrong, sha):
+    # a fault in one call of each group: the c <= 3 report, counts and
+    # violation order included, is the one the single check function gave
+    # before it was split into groups
+    monkeypatch.setattr(module, name, _faulty(getattr(module, name), wrong))
+    report = run_property_suite(3, pair_max_crossings=1)
+    assert not report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha

@@ -106,7 +106,7 @@ def test_fg_decomposition_examples():
     assert f == WarpPoly(((1, 1), (2, 2)))  # t+2t^2
     assert g == WarpPoly(((1, 2), (2, 1)))  # 2t+t^2
     f, g = fg_decomposition(parse_gauss("O1 U1"), 1)
-    assert f == WarpPoly.monomial(1)
+    assert f == WarpPoly(((1, 1),))
     assert g == WarpPoly.one()
     with pytest.raises(UnknownCrossingError):
         fg_decomposition(TREFOIL, 7)
