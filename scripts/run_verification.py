@@ -2,10 +2,10 @@
 """Run the exhaustive identity sweep and the almost-alternating scan.
 
 Writes one JSON report per sweep (stdout by default), exits 2 if any
-violation was found and 1 if the bound is outside 0..6.  The bound is an
-ASCII integer, as the ``warp`` CLI reads it; other text is argparse's
-usage error (exit 2, nothing swept).  The default bound (5) checks 32,055
-codes and takes under a minute.
+violation was found and 1 on a usage error or a bound outside 0..6, as
+``warp verify`` does.  The bound is an ASCII integer, as the ``warp`` CLI
+reads it; other text is argparse's usage error (exit 1, nothing swept).
+The default bound (5) checks 32,055 codes and takes under a minute.
 """
 
 import argparse
@@ -21,7 +21,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-crossings", type=_int_arg, default=5)
     parser.add_argument("--out", help="write the combined JSON report to a file")
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors, the code that means violations here
+        return 0 if exc.code == 0 else 1
 
     started = time.time()
     try:

@@ -6,7 +6,6 @@ from .characterize import (
     Rejection,
     encode_form,
     one_bridge_diagram,
-    one_bridge_polynomial,
     recognize,
     witness,
 )
@@ -36,7 +35,6 @@ from .search import (
     span_witness,
 )
 from .warping import (
-    degree_at_base,
     diagram_span,
     fg_decomposition,
     is_monotone,
@@ -64,7 +62,6 @@ __all__ = [
     "canonicalize",
     "connected_sum",
     "dealternating_number",
-    "degree_at_base",
     "diagram_span",
     "encode_form",
     "enumerate_diagrams",
@@ -75,7 +72,6 @@ __all__ = [
     "is_monotone",
     "labeling",
     "one_bridge_diagram",
-    "one_bridge_polynomial",
     "parse_braid",
     "parse_gauss",
     "parse_poly",

@@ -119,16 +119,6 @@ def one_bridge_diagram(l: int) -> GaussDiagram:
     return GaussDiagram._trusted(overs + unders)
 
 
-def one_bridge_polynomial(l: int) -> WarpPoly:
-    """``1 + 2t + ... + 2t^{l-1} + t^l``; the constant 1 for ``l = 0``.
-
-    The staircase form with ``k = 0`` and every ``m_i = 1``.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    return encode_form(CharForm(0, (1,) * l))
-
-
 def witness(form: CharForm) -> GaussDiagram:
     """Build a diagram whose warping polynomial is ``encode_form(form)``.
 

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from . import characterize, moves, warping
 from .diagram import OVER, UNDER, GaussDiagram, Pass, _renumbered, _spliced
-from .laurent import WarpPoly
+from .laurent import WarpPoly, counts_to_poly
 from .errors import (
     BoundExceededError,
     NotAlternatableError,
@@ -254,7 +254,7 @@ def _check_diagram(rec: _Recorder, diagram: GaussDiagram) -> None:
     # four check groups in a fixed order, under the code's one guard; the
     # values they share are computed once, here
     labels = warping.labeling(diagram)
-    poly = warping.warping_polynomial(diagram)
+    poly = counts_to_poly(labels)
     d = min(labels)
     span = max(labels) - d
     _invariants(rec, diagram, poly, d, span)
@@ -322,15 +322,22 @@ def _invariants(
 def _crossing_changes(
     rec: _Recorder, diagram: GaussDiagram, poly: WarpPoly, span: int
 ) -> None:
-    for x in sorted(diagram.crossing_ids()):
+    for k, x in enumerate(sorted(diagram.crossing_ids())):
         changed = diagram.crossing_change(x)
         changed_poly = warping.warping_polynomial(changed)
         f, g = warping.fg_decomposition(diagram, x)
         rec.check("fg-partition", f + g == poly, diagram, lambda: f"crossing {x}")
         rec.check("fg-lower-degree", f.ldeg() >= 1, diagram, lambda: f"crossing {x}: f {f}")
+        # the other crossings predict from the split just checked; the first
+        # goes through the public prediction, keeping it exercised (and
+        # traced) by the sweep
+        if k == 0:
+            predicted = warping.predict_crossing_change(diagram, x)
+        else:
+            predicted = warping._predicted(f, g)
         rec.check(
             "crossing-change-prediction",
-            warping.predict_crossing_change(diagram, x) == changed_poly,
+            predicted == changed_poly,
             diagram,
             lambda: f"crossing {x}",
         )
@@ -353,15 +360,28 @@ def _kinks(
     }
     over_expect = {i: poly + bump for i, bump in bumps.items()}
     under_expect = {i: shifted + bump for i, bump in bumps.items()}
+    # every kink adds the same fresh crossing, so both two-pass segments are
+    # built once; edge 0 goes through the public moves, keeping them
+    # exercised (and traced) by the sweep
+    fresh = diagram.max_crossing_id() + 1
+    over_segment = (Pass(fresh, OVER), Pass(fresh, UNDER))
+    under_segment = over_segment[::-1]
+    passes = diagram.passes
     for edge, i in enumerate(labels):
-        over = moves.insert_kink_over_first(diagram, edge)
+        if edge:
+            over = _spliced(passes, edge, over_segment)
+        else:
+            over = moves.insert_kink_over_first(diagram, edge)
         rec.check(
             "kink-over-first-identity",
             warping.warping_polynomial(over) == over_expect[i],
             diagram,
             lambda: f"edge {edge}",
         )
-        under = moves.insert_kink_under_first(diagram, edge)
+        if edge:
+            under = _spliced(passes, edge, under_segment)
+        else:
+            under = moves.insert_kink_under_first(diagram, edge)
         rec.check(
             "kink-under-first-identity",
             warping.warping_polynomial(under) == under_expect[i],

@@ -24,15 +24,6 @@ from .errors import (
 from .laurent import WarpPoly, counts_to_poly
 
 
-def degree_at_base(diagram: GaussDiagram, edge: int) -> int:
-    """Warping degree of a base point on ``edge``.
-
-    The number of crossings met under-first when walking the ``2c`` passes
-    that follow ``edge``; read off :func:`labeling`, so O(c).
-    """
-    return labeling(diagram)[diagram.check_edge(edge)]
-
-
 def labeling(diagram: GaussDiagram) -> tuple[int, ...]:
     """Warping degrees of all edges, as a tuple of length ``max(2c, 1)``.
 
@@ -111,8 +102,12 @@ def predict_crossing_change(diagram: GaussDiagram, crossing: int) -> WarpPoly:
     is legal because ``ldeg(f) >= 1``.  Equals
     ``warping_polynomial(diagram.crossing_change(crossing))``.
     """
-    f, g = fg_decomposition(diagram, crossing)
-    # shift-down of f, guarded by its lower degree bound
+    return _predicted(*fg_decomposition(diagram, crossing))
+
+
+def _predicted(f: WarpPoly, g: WarpPoly) -> WarpPoly:
+    # t*g + f/t from one crossing's f/g split; the sweep reuses the split it
+    # has already checked instead of decomposing again
     if f.ldeg() < 1:
         raise NegativeDegreeError(f"degree {f.ldeg() - 1} < 0")
     f_down = WarpPoly._trusted(tuple((d - 1, c) for d, c in f.terms))

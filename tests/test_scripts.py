@@ -41,11 +41,12 @@ def test_run_verification_refuses_negative_bound():
 
 
 def test_run_verification_reads_the_cli_integer_rule():
-    # int() alone would read the Arabic-Indic one and run the c <= 1 sweep
+    # int() alone would read the Arabic-Indic one and run the c <= 1 sweep;
+    # a usage error exits 1, as in warp, since 2 means violations
     script = str(ROOT / "scripts" / "run_verification.py")
     for value in ("\u0661", "1_0", "1\x1c\u3000"):
         proc = _run(script, "--max-crossings", value)
-        assert (proc.returncode, proc.stdout) == (2, "")
+        assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.endswith(
             f"error: argument --max-crossings: invalid int value: {value!r}\n"
         )

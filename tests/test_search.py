@@ -248,6 +248,19 @@ def test_verify_json_pinned(full_suite_report):
     )
 
 
+def test_sweep_workload_reports_pinned():
+    # the two reports a pass of the benchmark's sweep workload makes, which
+    # it gates only by their counts, byte for byte
+    suite = run_property_suite(4, pair_max_crossings=1).to_json()
+    assert hashlib.sha256(suite.encode()).hexdigest() == (
+        "22e7c7e61c42d8d15d35e9489d16cefc8ee1b99eda1b910cc8add57592a28766"
+    )
+    scan = almost_alternating_scan(4).to_json()
+    assert hashlib.sha256(scan.encode()).hexdigest() == (
+        "af63c5355dacbcb6870a299f1469780b9327e4f319ee699418ce712b3ef01b4b"
+    )
+
+
 def test_property_suite_flags_corrupted_labeling(monkeypatch):
     # fault injection: bump one edge label and expect the suite to notice
     real = warping.labeling
@@ -351,6 +364,58 @@ def test_connected_sum_sweep_matches_remap_oracle(monkeypatch):
     assert calls == [(left, 0, right, 0) for left in summands for right in summands]
 
 
+def test_kink_and_crossing_change_groups_match_public_moves(monkeypatch):
+    # _kinks splices two prebuilt kink segments and _crossing_changes predicts
+    # from the f/g split it has just checked: every kinked code they label
+    # must be the public move's, in loop order, every prediction the public
+    # one's, and each public move must still run once per code
+    real_poly, real_predicted = warping.warping_polynomial, warping._predicted
+    kinks = (moves.insert_kink_over_first, moves.insert_kink_under_first)
+    predict = warping.predict_crossing_change
+    labelled, predicted, calls = [], [], Counter()
+
+    def recording_poly(diagram):
+        labelled.append(diagram)
+        return real_poly(diagram)
+
+    def recording_predicted(f, g):
+        predicted.append(real_predicted(f, g))
+        return predicted[-1]
+
+    def counting(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(warping, "warping_polynomial", recording_poly)
+    monkeypatch.setattr(warping, "_predicted", recording_predicted)
+    for module, fn in ((moves, kinks[0]), (moves, kinks[1]), (warping, predict)):
+        monkeypatch.setattr(module, fn.__name__, counting(fn))
+    for c in range(1, 4):
+        for diagram in enumerate_diagrams(c):
+            labels = warping.labeling(diagram)
+            poly = real_poly(diagram)
+            rec = search._Recorder()
+            labelled.clear()
+            predicted.clear()
+            calls.clear()
+            search._kinks(rec, diagram, labels, poly)
+            search._crossing_changes(rec, diagram, poly, max(labels) - min(labels))
+            assert rec.violations == []
+            assert dict(calls) == {fn.__name__: 1 for fn in (*kinks, predict)}
+            kinked, changed = labelled[: 4 * c], labelled[4 * c :]
+            assert kinked == [
+                kink(diagram, edge) for edge in range(2 * c) for kink in kinks
+            ], str(diagram)
+            crossings = sorted(diagram.crossing_ids())
+            assert changed == [diagram.crossing_change(x) for x in crossings]
+            # copied first: the reference predictions record themselves too
+            got = list(predicted)
+            assert got == [predict(diagram, x) for x in crossings], str(diagram)
+
+
 CHECK_GROUPS = ("_invariants", "_crossing_changes", "_kinks", "_dealternating_bounds")
 
 
@@ -378,13 +443,14 @@ def test_check_groups_labelings_per_code(monkeypatch):
     for name in CHECK_GROUPS:
         monkeypatch.setattr(search, name, tracked(name, getattr(search, name)))
     for c in range(4):
-        # the code's own labeling and polynomial; the reversed and mirrored
-        # polynomials, warping_degree and is_monotone; per crossing the
-        # changed polynomial, fg_decomposition and its prediction; per edge
-        # both kinks' polynomials
-        want = {"_check_diagram": 2, "_invariants": 4}
+        # the code's own labeling, which its polynomial is built from; the
+        # reversed and mirrored polynomials, warping_degree and is_monotone;
+        # per crossing the changed polynomial and fg_decomposition, and the
+        # first crossing's predict_crossing_change; per edge both kinks'
+        # polynomials
+        want = {"_check_diagram": 1, "_invariants": 4}
         if c:
-            want.update(_crossing_changes=3 * c, _kinks=2 * 2 * c)
+            want.update(_crossing_changes=2 * c + 1, _kinks=2 * 2 * c)
         for diagram in enumerate_diagrams(c):
             counts.clear()
             rec = search._Recorder()
@@ -413,9 +479,9 @@ def _faulty(real, wrong):
         (characterize, "recognize", lambda form: None,
          "eaae258cc0f76315b31bc4045def8a5796ee3625744d11ce3407db273dc779d8"),
         (warping, "fg_decomposition", lambda fg: fg[::-1],
-         "789d59033c1a41bdb31aaba14162364249fb96c6aeccabb0d03bbf4c0d2f5371"),
+         "10d287803d2735e2908eb956458ed9e2b6e2c9713034d2a9d65eb5b59ce9bf97"),
         (moves, "insert_kink_under_first", lambda kinked: kinked.reverse(),
-         "8bfc8f1bb95471530773a9ba9b3a063059e5257f5e8e98435eeae975e42b8bf3"),
+         "0e028b3c05da89d2efaa55ca9bfde151d73d00e6a877740c022acd79ce177f2c"),
         (search, "dealternating_number", lambda dalt: dalt + 1,
          "2365703a32579902d6d415e2c0290e6bfd43179712b6a74743ab31c28d4ba9fa"),
     ],
@@ -423,8 +489,11 @@ def _faulty(real, wrong):
 )
 def test_check_groups_keep_report_under_faults(monkeypatch, module, name, wrong, sha):
     # a fault in one call of each group: the c <= 3 report, counts and
-    # violation order included, is the one the single check function gave
-    # before it was split into groups
+    # violation order included, is pinned.  The recognize and
+    # dealternating_number rows are the reports of the single check function
+    # the groups were split from; fg_decomposition and insert_kink_under_first
+    # now run once per crossing and once per code, so their faults land on
+    # other calls
     monkeypatch.setattr(module, name, _faulty(getattr(module, name), wrong))
     report = run_property_suite(3, pair_max_crossings=1)
     assert not report.ok

