@@ -26,15 +26,11 @@ from .errors import WarpPolyError
 
 
 def _int_arg(text: str) -> int:
-    """argparse type of the integer options: ASCII ``[+-]?[0-9]+`` with
-    surrounding whitespace, the rule of the notation's integers; other text
-    gets the usage error that ``type=int`` gives."""
-    # the text must pass both: int() alone also reads "_" separators and
-    # non-ASCII digits, and str.strip() alone also drops \x1c-\x1f, which
-    # int() refuses
+    """argparse type of the integer options: the notation's integer rule
+    (:func:`notation._read_int`); other text gets the usage error that
+    ``type=int`` gives."""
     try:
-        notation._ascii_int(text.strip())
-        return int(text)
+        return notation._read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

@@ -14,7 +14,9 @@ Text form (bit-exact, used by the CLI)::
     term  :=  INT | INT? "t" ("^" INT)?
     poly  :=  term ("+" term)*
 
-rendered in ascending degree, e.g. ``1+2t+2t^2+t^3``.  A compact list
+rendered in ascending degree, e.g. ``1+2t+2t^2+t^3``.  On input, spaces
+may stand around ``+`` and before ``t``, not inside a number or around
+``^``.  A compact list
 form ``k:c0,c1,...,cl`` (coefficients starting at degree ``k``) is also
 accepted on input; see :mod:`warppoly.notation`.
 """

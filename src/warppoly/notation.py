@@ -33,7 +33,7 @@ from .errors import NotAKnotError, ParseError
 from .laurent import WarpPoly
 
 _GAUSS_TOKEN = re.compile(r"([OUou])([0-9]+)([+-])?\Z")
-_POLY_TERM = re.compile(r"([0-9]+)?(t(?:\^(-?[0-9]+))?)?\Z")
+_POLY_TERM = re.compile(r"([0-9]+)? *(t(?:\^(-?[0-9]+))?)?\Z")
 _ASCII_INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
@@ -137,24 +137,26 @@ class BraidWord:
 
 
 def _read_ints(tokens: list[str], text: str, what: str) -> list[int]:
-    """Each token of ``text`` as an integer ``[+-]?[0-9]+``, surrounding
-    whitespace allowed; the first other token raises :class:`ParseError`
-    at its position."""
-    # int() also reads "_" separators and non-ASCII digits such as "١"; on
-    # text with neither it reads exactly the rule, so only other text pays
-    # for the per-token pattern
-    read = int if text.isascii() and "_" not in text else _ascii_int
+    """Each token of ``text`` as an integer read by :func:`_read_int`; the
+    first other token raises :class:`ParseError` at its position."""
+    # on ASCII text without "_", int() alone reads exactly _read_int's rule,
+    # so only other text pays for the per-token pattern
+    read = int if text.isascii() and "_" not in text else _read_int
     out = []
     for position, token in enumerate(tokens, start=1):
         try:
-            out.append(read(token.strip()))
+            out.append(read(token))
         except ValueError:
             raise ParseError(f"bad {what} {token!r}", position) from None
     return out
 
 
-def _ascii_int(token: str) -> int:
-    if not _ASCII_INT.match(token):
+def _read_int(token: str) -> int:
+    """``token`` as an integer ``[+-]?[0-9]+`` in ASCII digits, with the
+    whitespace around it that ``int()`` allows; ``ValueError`` otherwise."""
+    # both must accept: int() alone also reads "_" separators and non-ASCII
+    # digits, and str.strip() alone also drops \x1c-\x1f, which int() refuses
+    if not _ASCII_INT.match(token.strip()):
         raise ValueError(token)
     return int(token)
 
@@ -218,18 +220,21 @@ def _cycle_count(perm: dict[int, int]) -> int:
 
 def parse_poly(text: str) -> WarpPoly:
     """Parse either polynomial grammar (list form when ":" is present)."""
-    text = text.strip()
     if ":" in text:
         return _parse_poly_list(text)
     return _parse_poly_terms(text)
 
 
 def _parse_poly_terms(text: str) -> WarpPoly:
-    compact = text.replace(" ", "")
-    if not compact:
+    text = text.strip()
+    if not text:
         raise ParseError("empty polynomial")
     terms = []
-    for position, chunk in enumerate(compact.split("+"), start=1):
+    for position, chunk in enumerate(text.split("+"), start=1):
+        # spaces may stand around "+" and before "t", but not inside a
+        # number or around "^": "1 2t" and "t^ 1 0" are refused, not read
+        # as 12t and t^10
+        chunk = chunk.strip(" ")
         match = _POLY_TERM.match(chunk)
         if not match:
             raise ParseError(f"bad term {chunk!r}", position)

@@ -353,16 +353,18 @@ def _kinks(
     rec: _Recorder, diagram: GaussDiagram, labels: tuple[int, ...], poly: WarpPoly
 ) -> None:
     even = diagram.evenness_lint()
-    shifted = poly.shift(1)
-    bumps = {
-        i: WarpPoly(((i, 1), (i + 1, 1)))  # t^i (1 + t)
-        for i in set(labels)
-    }
-    over_expect = {i: poly + bump for i, bump in bumps.items()}
-    under_expect = {i: shifted + bump for i, bump in bumps.items()}
+    # W is the sum of t^label over the edges, so past edge 0 each identity is
+    # checked as the kinked code's sorted labels against the expected
+    # multiset: labels + {i, i+1} over-first, labels + 1 + {i, i+1}
+    # under-first, one pair per label value
+    over_want, under_want = {}, {}
+    raised = [lab + 1 for lab in labels]
+    for i in set(labels):
+        over_want[i] = sorted(labels + (i, i + 1))
+        under_want[i] = sorted(raised + [i, i + 1])
     # every kink adds the same fresh crossing, so both two-pass segments are
-    # built once; edge 0 goes through the public moves, keeping them
-    # exercised (and traced) by the sweep
+    # built once; edge 0 goes through the public moves and the polynomial
+    # identities, keeping them exercised (and traced) by the sweep
     fresh = diagram.max_crossing_id() + 1
     over_segment = (Pass(fresh, OVER), Pass(fresh, UNDER))
     under_segment = over_segment[::-1]
@@ -370,24 +372,19 @@ def _kinks(
     for edge, i in enumerate(labels):
         if edge:
             over = _spliced(passes, edge, over_segment)
+            over_ok = sorted(warping.labeling(over)) == over_want[i]
         else:
+            bump = WarpPoly(((i, 1), (i + 1, 1)))  # t^i (1 + t)
             over = moves.insert_kink_over_first(diagram, edge)
-        rec.check(
-            "kink-over-first-identity",
-            warping.warping_polynomial(over) == over_expect[i],
-            diagram,
-            lambda: f"edge {edge}",
-        )
+            over_ok = warping.warping_polynomial(over) == poly + bump
+        rec.check("kink-over-first-identity", over_ok, diagram, lambda: f"edge {edge}")
         if edge:
             under = _spliced(passes, edge, under_segment)
+            under_ok = sorted(warping.labeling(under)) == under_want[i]
         else:
             under = moves.insert_kink_under_first(diagram, edge)
-        rec.check(
-            "kink-under-first-identity",
-            warping.warping_polynomial(under) == under_expect[i],
-            diagram,
-            lambda: f"edge {edge}",
-        )
+            under_ok = warping.warping_polynomial(under) == poly.shift(1) + bump
+        rec.check("kink-under-first-identity", under_ok, diagram, lambda: f"edge {edge}")
         if even:
             rec.check(
                 "kink-preserves-evenness",
@@ -422,9 +419,7 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
     for c in range(1, max_crossings + 1):
         for diagram in enumerate_diagrams(c):
             labels = warping.labeling(diagram)
-            summands.append(
-                (diagram, labels, warping.warping_polynomial(diagram))
-            )
+            summands.append((diagram, labels, counts_to_poly(labels)))
     # every left summand numbers its crossings 1..c1, so the renumbered right
     # segment depends only on (right, other_edge, c1): summands ascend in c1,
     # and one table is built per crossing count, the previous one dropped first
@@ -445,29 +440,39 @@ def _check_connected_sums(rec: _Recorder, max_crossings: int) -> None:
             right_min, right_max = min(right_labels), max(right_labels)
             right_span = right_max - right_min
             span_floor = max(left_span, right_span)
-            # expectations depend only on the label pair, not the edge pair
-            expected: dict[tuple[int, int], WarpPoly] = {}
+            # W is the sum of t^label over the edges, so past (0, 0) the
+            # identity t^j W_left + t^i W_right is checked as the glued code's
+            # sorted labels against the union of the shifted label multisets,
+            # which depends only on the label pair, not the edge pair
+            expected: dict[tuple[int, int], list[int]] = {}
 
             def splice(edge, other_edge):
                 i, j = left_labels[edge], right_labels[other_edge]
-                want = expected.get((i, j))
-                if want is None:
-                    want = left_poly.shift(j) + right_poly.shift(i)
-                    expected[(i, j)] = want
                 if edge == other_edge == 0:
-                    # one splice per pair through the public move keeps it
-                    # exercised, and traced, by the sweep
+                    # one splice per pair through the public move and the
+                    # polynomial identity keeps them exercised, and traced,
+                    # by the sweep
                     glued = moves.connected_sum(left, edge, right, other_edge)
+                    glued_poly = warping.warping_polynomial(glued)
+                    identity = glued_poly == left_poly.shift(j) + right_poly.shift(i)
+                    glued_span = glued_poly.span()
                 else:
+                    want = expected.get((i, j))
+                    if want is None:
+                        want = sorted(
+                            [a + j for a in left_labels] + [b + i for b in right_labels]
+                        )
+                        expected[(i, j)] = want
                     glued = _spliced(left_passes, edge, right_segments[other_edge])
-                glued_poly = warping.warping_polynomial(glued)
+                    glued_labels = sorted(warping.labeling(glued))
+                    identity = glued_labels == want
+                    glued_span = glued_labels[-1] - glued_labels[0]
                 rec.check(
                     "connected-sum-identity",
-                    glued_poly == want,
+                    identity,
                     glued,
                     lambda: f"{left} #({edge},{other_edge}) {right}",
                 )
-                glued_span = glued_poly.span()
                 rec.check(
                     "connected-sum-span-bounds",
                     span_floor <= glued_span <= left_span + right_span,

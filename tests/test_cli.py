@@ -320,6 +320,14 @@ PINNED = [
     (['checkpoly', '0:\u0661,\u0661'], 1, '', "error: bad coefficient '\u0661' (at token 1)\n"),
     (['checkpoly', '\u0661:1'], 1, '', "error: bad list-form degree '\u0661' (at token 1)\n"),
     (['span', '--braid', '1 1_1', '--strands', '12'], 1, '', "error: bad braid letter '1_1' (at token 2)\n"),
+    # int() refuses \x1c-\x1f around a number, though str.strip() drops them
+    (['checkpoly', '0:1\x1c,1'], 1, '', "error: bad coefficient '1\\x1c' (at token 1)\n"),
+    # term form: spaces around "+" and before "t", never inside a number or
+    # around "^"
+    (['checkpoly', '1 + 2t + t^2'], 0, 'Accept: k=0 l=2 m=1,1\n', ''),
+    (['checkpoly', '1 2t'], 1, '', "error: bad term '1 2t' (at token 1)\n"),
+    (['checkpoly', 't^ 1 0'], 1, '', "error: bad term 't^ 1 0' (at token 1)\n"),
+    (['checkpoly', '1 1t+1 1t^2'], 1, '', "error: bad term '1 1t' (at token 1)\n"),
     # integer options: surrounding whitespace, Unicode included, is read
     (['cc', '--crossing', ' 1 ', TREFOIL], 0, 'U1 U2 O3 O1 O2 U3\n1+2t+2t^2+t^3\n', ''),
     (['span', '--braid', '1 1 1', '--strands', '2\u3000'], 0, '1\n', ''),
@@ -356,6 +364,23 @@ USAGE_ERRORS = [
     (['span', '--braid', '1 1 1', '--strands', '2\x1c'], 1),
     (['span', '--braid', '1 1 1', '--strands', '2\x1c\u3000'], 1),
 ]
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\x1f", "\x85", "\u3000", "\t", "\x0b"])
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_integer_readers_agree_on_surrounding_whitespace(capsys, space, side):
+    # a list-form coefficient, first or last, and --strands read the same
+    # integer rule: int() refuses \x1c-\x1f and reads the other whitespace
+    number = space + "2" if side == "before" else "2" + space
+    refused = space in "\x1c\x1f"
+    strands = run(capsys, "span", "--braid", "1 1 1", "--strands", number)
+    assert strands[0] == (1 if refused else 0)
+    for position, poly in ((1, f"0:{number},2"), (2, f"0:2,{number}")):
+        if refused:
+            want = (1, "", f"error: bad coefficient {number!r} (at token {position})\n")
+        else:
+            want = (0, "Accept: k=0 l=1 m=2\n", "")
+        assert run(capsys, "checkpoly", poly) == want
 
 
 @pytest.mark.parametrize(("argv", "exit_code", "out", "err"), PINNED)

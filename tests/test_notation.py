@@ -295,6 +295,7 @@ def test_parse_poly_term_form():
     assert parse_poly("t").as_dict() == {1: 1}
     assert parse_poly("7").as_dict() == {0: 7}
     assert parse_poly("0").is_zero
+    assert parse_poly(" 1 + 2 t + t^2 ").as_dict() == {0: 1, 1: 2, 2: 1}
 
 
 def test_parse_poly_list_form():

@@ -25,6 +25,7 @@ from warppoly.errors import (
     NotConstructibleError,
     ZeroCrossingsError,
 )
+from warppoly.laurent import counts_to_poly
 
 from _oracles import (
     code_count,
@@ -336,17 +337,17 @@ def test_connected_sum_sweep_matches_remap_oracle(monkeypatch):
     # connected_sum must still build one splice per pair
     summands = [d for c in (1, 2) for d in enumerate_diagrams(c)]
     labelled, calls = [], []
-    real_poly, real_sum = warping.warping_polynomial, moves.connected_sum
+    real_labeling, real_sum = warping.labeling, moves.connected_sum
 
-    def recording_poly(diagram):
+    def recording_labeling(diagram):
         labelled.append(diagram)
-        return real_poly(diagram)
+        return real_labeling(diagram)
 
     def counting_sum(*args):
         calls.append(args)
         return real_sum(*args)
 
-    monkeypatch.setattr(warping, "warping_polynomial", recording_poly)
+    monkeypatch.setattr(warping, "labeling", recording_labeling)
     monkeypatch.setattr(moves, "connected_sum", counting_sum)
     rec = search._Recorder()
     search._check_connected_sums(rec, 2)
@@ -369,14 +370,14 @@ def test_kink_and_crossing_change_groups_match_public_moves(monkeypatch):
     # from the f/g split it has just checked: every kinked code they label
     # must be the public move's, in loop order, every prediction the public
     # one's, and each public move must still run once per code
-    real_poly, real_predicted = warping.warping_polynomial, warping._predicted
+    real_labeling, real_predicted = warping.labeling, warping._predicted
     kinks = (moves.insert_kink_over_first, moves.insert_kink_under_first)
     predict = warping.predict_crossing_change
     labelled, predicted, calls = [], [], Counter()
 
-    def recording_poly(diagram):
+    def recording_labeling(diagram):
         labelled.append(diagram)
-        return real_poly(diagram)
+        return real_labeling(diagram)
 
     def recording_predicted(f, g):
         predicted.append(real_predicted(f, g))
@@ -389,14 +390,14 @@ def test_kink_and_crossing_change_groups_match_public_moves(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(warping, "warping_polynomial", recording_poly)
+    monkeypatch.setattr(warping, "labeling", recording_labeling)
     monkeypatch.setattr(warping, "_predicted", recording_predicted)
     for module, fn in ((moves, kinks[0]), (moves, kinks[1]), (warping, predict)):
         monkeypatch.setattr(module, fn.__name__, counting(fn))
     for c in range(1, 4):
         for diagram in enumerate_diagrams(c):
-            labels = warping.labeling(diagram)
-            poly = real_poly(diagram)
+            labels = real_labeling(diagram)
+            poly = counts_to_poly(labels)
             rec = search._Recorder()
             labelled.clear()
             predicted.clear()
@@ -405,7 +406,10 @@ def test_kink_and_crossing_change_groups_match_public_moves(monkeypatch):
             search._crossing_changes(rec, diagram, poly, max(labels) - min(labels))
             assert rec.violations == []
             assert dict(calls) == {fn.__name__: 1 for fn in (*kinks, predict)}
-            kinked, changed = labelled[: 4 * c], labelled[4 * c :]
+            # the f/g splits relabel the code itself; every other labeled
+            # code is a kinked or a changed one
+            derived = [d for d in labelled if d != diagram]
+            kinked, changed = derived[: 4 * c], derived[4 * c :]
             assert kinked == [
                 kink(diagram, edge) for edge in range(2 * c) for kink in kinks
             ], str(diagram)
@@ -446,8 +450,8 @@ def test_check_groups_labelings_per_code(monkeypatch):
         # the code's own labeling, which its polynomial is built from; the
         # reversed and mirrored polynomials, warping_degree and is_monotone;
         # per crossing the changed polynomial and fg_decomposition, and the
-        # first crossing's predict_crossing_change; per edge both kinks'
-        # polynomials
+        # first crossing's predict_crossing_change; per edge both kinked
+        # codes, on polynomials at edge 0 and in label space past it
         want = {"_check_diagram": 1, "_invariants": 4}
         if c:
             want.update(_crossing_changes=2 * c + 1, _kinks=2 * 2 * c)
@@ -498,3 +502,25 @@ def test_check_groups_keep_report_under_faults(monkeypatch, module, name, wrong,
     report = run_property_suite(3, pair_max_crossings=1)
     assert not report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha
+
+
+def test_label_multiset_checks_keep_report_under_splice_faults(monkeypatch):
+    # the kinks past edge 0 and the splices past (0, 0) are checked in label
+    # space; a fault in the splices they build, every 7th raising and every
+    # other 3rd gluing its segment reversed, must be flagged exactly as the
+    # polynomial checks flagged it: the c <= 3 report with pairs up to c = 2,
+    # pinned as the polynomial checks made it
+    real, calls = search._spliced, itertools.count(1)
+
+    def faulty(passes, edge, segment):
+        n = next(calls)
+        if n % 7 == 0:
+            raise RuntimeError(f"injected fault {n}")
+        return real(passes, edge, segment[::-1] if n % 3 == 0 else segment)
+
+    monkeypatch.setattr(search, "_spliced", faulty)
+    report = run_property_suite(3, pair_max_crossings=2)
+    assert not report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "d460e1c75db6ea584eecd963d0c416b14344b204710f2f3faaf692dfa6ac38e2"
+    )
