@@ -320,6 +320,9 @@ PINNED = [
     (['checkpoly', '0:\u0661,\u0661'], 1, '', "error: bad coefficient '\u0661' (at token 1)\n"),
     (['checkpoly', '\u0661:1'], 1, '', "error: bad list-form degree '\u0661' (at token 1)\n"),
     (['span', '--braid', '1 1_1', '--strands', '12'], 1, '', "error: bad braid letter '1_1' (at token 2)\n"),
+    # integer options: surrounding whitespace, Unicode included, is read
+    (['cc', '--crossing', ' 1 ', TREFOIL], 0, 'U1 U2 O3 O1 O2 U3\n1+2t+2t^2+t^3\n', ''),
+    (['span', '--braid', '1 1 1', '--strands', '2\u3000'], 0, '1\n', ''),
     # int() refuses \x1c-\x1f around a number, though str.strip() drops them
     (['checkpoly', '0:1\x1c,1'], 1, '', "error: bad coefficient '1\\x1c' (at token 1)\n"),
     # term form: spaces around "+" and before "t", never inside a number or
@@ -328,9 +331,6 @@ PINNED = [
     (['checkpoly', '1 2t'], 1, '', "error: bad term '1 2t' (at token 1)\n"),
     (['checkpoly', 't^ 1 0'], 1, '', "error: bad term 't^ 1 0' (at token 1)\n"),
     (['checkpoly', '1 1t+1 1t^2'], 1, '', "error: bad term '1 1t' (at token 1)\n"),
-    # integer options: surrounding whitespace, Unicode included, is read
-    (['cc', '--crossing', ' 1 ', TREFOIL], 0, 'U1 U2 O3 O1 O2 U3\n1+2t+2t^2+t^3\n', ''),
-    (['span', '--braid', '1 1 1', '--strands', '2\u3000'], 0, '1\n', ''),
 ]
 
 # argparse usage errors and --help: the exit code only, since argparse's

@@ -25,7 +25,6 @@ from warppoly.errors import (
     NotConstructibleError,
     ZeroCrossingsError,
 )
-from warppoly.laurent import counts_to_poly
 
 from _oracles import (
     code_count,
@@ -396,8 +395,8 @@ def test_kink_and_crossing_change_groups_match_public_moves(monkeypatch):
         monkeypatch.setattr(module, fn.__name__, counting(fn))
     for c in range(1, 4):
         for diagram in enumerate_diagrams(c):
-            labels = real_labeling(diagram)
-            poly = counts_to_poly(labels)
+            labels = warping.labeling(diagram)
+            poly = warping.warping_polynomial(diagram)
             rec = search._Recorder()
             labelled.clear()
             predicted.clear()
